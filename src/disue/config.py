@@ -28,8 +28,6 @@ VARIANTS = (
 
 IGA_VARIANTS = ("disue", "disue_minus_gls", "disue_minus_gwf", "disue_minus_lcf", "disue_minus_ldiv")
 
-CLUSTERED_VARIANTS = IGA_VARIANTS + ("cfl_only", "disue_minus_iga")
-
 
 @dataclass
 class DatasetConfig:

@@ -13,6 +13,10 @@ Stop gradients follow the alternating structure: the student distribution
 is a constant during (a) and the teacher distributions are constants
 during (b). Teacher parameters are never updated; generator gradients
 reach the teachers only through the synthesized samples.
+
+Within one alternation the noise and labels are fixed, so the noise
+distances for the div term and the teachers' softmax on the frozen
+student-phase samples are computed once per alternation, not per step.
 """
 from __future__ import annotations
 
@@ -106,10 +110,18 @@ class IgaResult:
         return to_mean(cd), to_mean(cf), to_mean(dv)
 
 
+def _draw_labels_and_noise(
+    gls: GlsDistribution, count: int, noise_dim: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels first, then noise: the draw order is part of the seed stream."""
+    labels = sample_labels(gls, count, rng)
+    noise = rng.standard_normal((count, noise_dim))
+    return labels, noise
+
+
 def generate_pseudo_batch(generator: Generator, gls: GlsDistribution, count: int, rng: np.random.Generator) -> PseudoBatch:
     """Sample labels and noise, then synthesize; graph recording follows the ambient mode."""
-    labels = sample_labels(gls, count, rng)
-    noise = rng.standard_normal((count, generator.noise_dim))
+    labels, noise = _draw_labels_and_noise(gls, count, generator.noise_dim, rng)
     return PseudoBatch(noise=noise, labels=labels, samples=generator.forward(noise, labels))
 
 
@@ -137,17 +149,32 @@ def _weighted_kl(teacher_probs: Sequence, student_probs, weights: np.ndarray, co
     return nn.mul(total, 1.0 / count)
 
 
-def loss_cd(teachers: Sequence[Classifier], student: Classifier, batch: PseudoBatch, gwf: GwfWeights) -> Tensor:
+def teacher_softmax(teachers: Sequence[Classifier], samples: np.ndarray) -> list[np.ndarray]:
+    """Each frozen teacher's class probabilities on a constant batch."""
+    with nn.no_grad():
+        return [nn.softmax(t.forward(samples)).data for t in teachers]
+
+
+def loss_cd(
+    teachers: Sequence[Classifier],
+    student: Classifier,
+    batch: PseudoBatch,
+    gwf: GwfWeights,
+    teacher_probs: Sequence[np.ndarray] | None = None,
+) -> Tensor:
     """Cluster-distillation loss, student side live, teacher side constant.
 
     For every sample, the KL from each teacher's softmax to the student's is
     weighted by that teacher's share of the sample's conditioning class.
+    `teacher_probs`, when given, must be teacher_softmax(teachers,
+    batch.samples.data); callers that reuse one batch pass it to skip the
+    teacher forwards.
     """
     if len(teachers) != gwf.num_clusters:
         raise InvalidInputError("one weight row per teacher required")
     x = batch.samples.data  # constant for the student update
-    with nn.no_grad():
-        teacher_probs = [nn.softmax(t.forward(x)).data for t in teachers]
+    if teacher_probs is None:
+        teacher_probs = teacher_softmax(teachers, x)
     student_probs = nn.softmax(student.forward(x))
     weights = _teacher_sample_weights(gwf, batch.labels)
     return _weighted_kl(teacher_probs, student_probs, weights, batch.size)
@@ -170,11 +197,22 @@ def loss_cf(teachers: Sequence[Classifier], batch: PseudoBatch, gwf: GwfWeights)
     return nn.mul(total, -1.0 / batch.size)
 
 
-def loss_div(batch: PseudoBatch) -> Tensor:
-    """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse."""
+def noise_distances(noise: np.ndarray) -> np.ndarray:
+    """[Q, Q] Euclidean distances between the noise rows."""
+    zdiff = noise[:, None, :] - noise[None, :, :]
+    np.multiply(zdiff, zdiff, out=zdiff)  # in place: a second [Q, Q, noise_dim] buffer costs more than the square
+    return np.sqrt(zdiff.sum(axis=2))
+
+
+def loss_div(batch: PseudoBatch, zdist: np.ndarray | None = None) -> Tensor:
+    """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse.
+
+    `zdist`, when given, must be noise_distances(batch.noise); callers that
+    reuse one noise draw pass it to skip the [Q, Q, noise_dim] pass.
+    """
     q = batch.size
-    zdiff = batch.noise[:, None, :] - batch.noise[None, :, :]
-    zdist = np.sqrt((zdiff * zdiff).sum(axis=2))
+    if zdist is None:
+        zdist = noise_distances(batch.noise)
     xdist = nn.pairwise_distances(batch.samples)
     exponent = nn.mul(nn.tsum(nn.mul(xdist, -zdist)), 1.0 / (q * q))
     return nn.exp(exponent)
@@ -186,6 +224,7 @@ def _generator_objective(
     batch: PseudoBatch,
     gwf: GwfWeights,
     cfg: DistillConfig,
+    zdist: np.ndarray,
 ) -> tuple[Tensor, float, float, float]:
     """The scalar the generator minimizes, plus the component values."""
     weights = _teacher_sample_weights(gwf, batch.labels)
@@ -194,7 +233,7 @@ def _generator_objective(
     teacher_probs = [nn.softmax(t.forward(batch.samples)) for t in teachers]  # live through the samples
     cd = _weighted_kl(teacher_probs, student_probs, weights, batch.size)
     cf = loss_cf(teachers, batch, gwf)
-    div = loss_div(batch)
+    div = loss_div(batch, zdist)
     if cfg.literal_minimax:
         # the flipped composition: generator descends all three terms together
         objective = nn.add(nn.add(cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
@@ -227,11 +266,11 @@ def iga_round(
     trace: list[IgaRecord] = []
     try:
         for inner in range(cfg.inner_iters):
-            labels = sample_labels(gls, cfg.pseudo_batch, rng)
-            noise = rng.standard_normal((cfg.pseudo_batch, generator.noise_dim))
+            labels, noise = _draw_labels_and_noise(gls, cfg.pseudo_batch, generator.noise_dim, rng)
+            zdist = noise_distances(noise)
             for _ in range(cfg.gen_steps):
                 batch = PseudoBatch(noise, labels, generator.forward(noise, labels))
-                objective, cd_val, cf_val, div_val = _generator_objective(teachers, student, batch, gwf, cfg)
+                objective, cd_val, cf_val, div_val = _generator_objective(teachers, student, batch, gwf, cfg, zdist)
                 if not np.isfinite(objective.item()):
                     raise DivergenceError("non-finite generator objective")
                 nn.backward(objective)
@@ -240,8 +279,9 @@ def iga_round(
             with nn.no_grad():
                 frozen_samples = generator.forward(noise, labels)
             fixed = PseudoBatch(noise, labels, frozen_samples)
+            fixed_probs = teacher_softmax(teachers, frozen_samples.data)
             for _ in range(cfg.student_steps):
-                cd = loss_cd(teachers, student, fixed, gwf)
+                cd = loss_cd(teachers, student, fixed, gwf, fixed_probs)
                 if not np.isfinite(cd.item()):
                     raise DivergenceError("non-finite distillation loss")
                 trace.append(IgaRecord("student", inner, cd.item()))

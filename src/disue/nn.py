@@ -89,10 +89,26 @@ def as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.needs_grad() for p in parents):
-        out._parents = parents
-        out._bwd = bwd
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad or p._parents:
+                out._parents = parents
+                out._bwd = bwd
+                break
     return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add one gradient contribution to t.grad, allocating it on the first.
+
+    The first contribution is written as 0.0 + g into a fresh array: g may be
+    the upstream gradient itself or a view of it, and 0.0 + g has the bits
+    of a zero-filled accumulator, signed zeros included.
+    """
+    if t.grad is None:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -107,20 +123,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """Every node below root that takes a gradient, each after its parents.
+
+    Constant leaves are skipped: they hold no gradient and have no backward,
+    and leaving them out does not move the other nodes.
+    """
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if (p.requires_grad or p._parents) and p not in seen:
                 stack.append((p, False))
     return order
 
@@ -128,8 +149,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate .grad for every node reachable from a scalar loss.
 
-    Gradients of reachable nodes are reset first, so repeated calls do not
-    accumulate across backward passes.
+    Gradients of reachable nodes are reset to None first and allocated by
+    their first contribution, so repeated calls do not accumulate across
+    backward passes.
     """
     if loss.data.size != 1:
         raise InvalidInputError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -137,8 +159,7 @@ def backward(loss: Tensor) -> None:
         raise InvalidStateError("backward on a detached scalar: no recorded graph")
     order = _topo_order(loss)
     for node in order:
-        if node.needs_grad():
-            node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._bwd is not None:
@@ -154,9 +175,9 @@ def add(a, b) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.needs_grad():
-            b.grad += _unbroadcast(g, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -166,9 +187,9 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.needs_grad():
-            b.grad -= _unbroadcast(g, b.data.shape)
+            _accumulate(b, -_unbroadcast(g, b.data.shape))
 
     return _node(a.data - b.data, (a, b), bwd)
 
@@ -178,7 +199,7 @@ def neg(a) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad -= g
+            _accumulate(a, -g)
 
     return _node(-a.data, (a,), bwd)
 
@@ -188,9 +209,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.needs_grad():
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
 
@@ -204,9 +225,9 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += g @ b.data.T
+            _accumulate(a, g @ b.data.T)
         if b.needs_grad():
-            b.grad += a.data.T @ g
+            _accumulate(b, a.data.T @ g)
 
     return _node(a.data @ b.data, (a, b), bwd)
 
@@ -217,7 +238,7 @@ def relu(a) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     # np.maximum, not np.where: a nan input must poison the output, not
     # silently turn into 0 and hide a diverged model
@@ -230,7 +251,7 @@ def tanh(a) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += g * (1.0 - out_data * out_data)
+            _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _node(out_data, (a,), bwd)
 
@@ -241,7 +262,7 @@ def exp(a) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += g * out_data
+            _accumulate(a, g * out_data)
 
     return _node(out_data, (a,), bwd)
 
@@ -252,21 +273,9 @@ def log(a) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += g / a.data
+            _accumulate(a, g / a.data)
 
     return _node(np.log(a.data), (a,), bwd)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        if a.needs_grad():
-            # subgradient 0 at the kink instead of division by zero
-            a.grad += np.where(out_data > 0, g / (2.0 * np.where(out_data > 0, out_data, 1.0)), 0.0)
-
-    return _node(out_data, (a,), bwd)
 
 
 def clamp_min(a, low: float) -> Tensor:
@@ -275,7 +284,7 @@ def clamp_min(a, low: float) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     return _node(np.maximum(a.data, low), (a,), bwd)
 
@@ -290,14 +299,9 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        a.grad += np.broadcast_to(gg, a.data.shape)
+        _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _node(out_data, (a,), bwd)
-
-
-def mean(a) -> Tensor:
-    a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def concat(a, b, axis: int = 1) -> Tensor:
@@ -307,9 +311,9 @@ def concat(a, b, axis: int = 1) -> Tensor:
     def bwd(g):
         ga, gb = np.split(g, [split], axis=axis)
         if a.needs_grad():
-            a.grad += ga
+            _accumulate(a, ga)
         if b.needs_grad():
-            b.grad += gb
+            _accumulate(b, gb)
 
     return _node(np.concatenate([a.data, b.data], axis=axis), (a, b), bwd)
 
@@ -324,6 +328,8 @@ def embedding_rows(table, index) -> Tensor:
 
     def bwd(g):
         if table.needs_grad():
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, index, g)
 
     return _node(table.data[index], (table,), bwd)
@@ -342,7 +348,10 @@ def take_per_row(a, index) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            np.add.at(a.grad, (rows, index), g)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            # one (row, index) pair per row, so plain fancy-index add is exact
+            a.grad[rows, index] += g
 
     return _node(a.data[rows, index], (a,), bwd)
 
@@ -359,7 +368,7 @@ def softmax(logits, axis: int = -1) -> Tensor:
     def bwd(g):
         if t.needs_grad():
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            t.grad += out_data * (g - dot)
+            _accumulate(t, out_data * (g - dot))
 
     return _node(out_data, (t,), bwd)
 
@@ -374,7 +383,7 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
 
     def bwd(g):
         if t.needs_grad():
-            t.grad += g - probs * g.sum(axis=axis, keepdims=True)
+            _accumulate(t, g - probs * g.sum(axis=axis, keepdims=True))
 
     return _node(out_data, (t,), bwd)
 
@@ -392,7 +401,7 @@ def pairwise_distances(x) -> Tensor:
             return
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(d > 0, (g + g.T) / np.where(d > 0, d, 1.0), 0.0)
-        t.grad += w.sum(axis=1)[:, None] * t.data - w @ t.data
+        _accumulate(t, w.sum(axis=1)[:, None] * t.data - w @ t.data)
 
     return _node(d, (t,), bwd)
 
@@ -582,11 +591,6 @@ class Generator(Module):
         for layer in self.layers[:-1]:
             h = relu(layer(h))
         return tanh(self.layers[-1](h))
-
-
-def forward_classifier(model: Classifier, batch) -> Tensor:
-    """Logits of a classifier on a [batch, in_dim] input."""
-    return model.forward(batch)
 
 
 def predict(model: Classifier, features: np.ndarray) -> np.ndarray:

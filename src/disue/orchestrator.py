@@ -40,7 +40,7 @@ from .aggregation import (
     uniform_gwf,
 )
 from .clustering import ClusterPartition, affinity_propagation, build_similarity_matrix, singleton_partition
-from .config import CLUSTERED_VARIANTS, IGA_VARIANTS, SimConfig, validate_config
+from .config import IGA_VARIANTS, SimConfig, validate_config
 from .data import (
     ClientDataset,
     LabelHistogram,
@@ -292,11 +292,16 @@ class Simulation:
         cfg = self.cfg
         r = self.round_index
         started = time.perf_counter()
-        backup = (self.global_params.copy(), self.generator.param_vector(), dict(self.client_feed))
+        backup = (
+            self.global_params.copy(),
+            self.generator.param_vector(),
+            dict(self.client_feed),
+            self.accumulated_counts.copy(),
+        )
         try:
             row = self._round_body(r)
         except Exception as exc:
-            self.global_params, gen_params, self.client_feed = backup
+            self.global_params, gen_params, self.client_feed, self.accumulated_counts = backup
             self.generator.load_param_vector(gen_params)
             self.events.append(Event(r, "round", f"round failed and was rolled back: {exc}"))
             if cfg.failure_policy == "halt":

@@ -198,6 +198,7 @@ def directional_matrix():
     return runs, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_a3_directional_end_to_end(directional_matrix):
     runs, elapsed = directional_matrix
     with _verdict("A3 directional end-to-end") as info:

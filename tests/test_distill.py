@@ -18,6 +18,8 @@ from disue.distill import (
     loss_cd,
     loss_cf,
     loss_div,
+    noise_distances,
+    teacher_softmax,
 )
 from disue.errors import InvalidInputError
 from disue.nn import Classifier, Generator, Tensor, backward, cross_entropy
@@ -106,6 +108,48 @@ def test_loss_cd_routes_by_conditioning_label():
     both = loss_cd([teacher, wild], student, batch, GwfWeights(alpha=alpha)).item()
     alone = loss_cd([teacher], student, batch, _one_teacher_gwf()).item()
     assert abs(both - alone) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-alternation precomputation is bit-exact
+
+
+def test_loss_div_with_precomputed_noise_distances_is_bit_identical():
+    _, _, gen = _small_models()
+    labels = np.arange(10) % 4
+    noise = np.random.default_rng(11).normal(size=(10, 8))
+
+    def value_and_grad(*extra):
+        batch = PseudoBatch(noise=noise, labels=labels, samples=gen.forward(noise, labels))
+        loss = loss_div(batch, *extra)
+        backward(loss)
+        return loss.item(), np.concatenate([p.grad.ravel() for p in gen.parameters()])
+
+    plain_value, plain_grad = value_and_grad()
+    fast_value, fast_grad = value_and_grad(noise_distances(noise))
+    assert fast_value == plain_value
+    assert fast_grad.tobytes() == plain_grad.tobytes()
+
+
+def test_loss_cd_with_precomputed_teacher_probs_is_bit_identical():
+    teacher, student, _ = _small_models()
+    wild = Classifier(2, 4, hidden=(16, 16), rng=np.random.default_rng(99))
+    teachers = [teacher, wild]
+    for t in teachers:
+        t.freeze()
+    x = np.random.default_rng(12).normal(size=(9, 2))
+    batch = _batch_from(x, np.zeros((9, 3)), np.arange(9) % 4)
+    gwf = GwfWeights(alpha=np.vstack([np.full(4, 0.25), np.full(4, 0.75)]))
+
+    def value_and_grad(*extra):
+        loss = loss_cd(teachers, student, batch, gwf, *extra)
+        backward(loss)
+        return loss.item(), np.concatenate([p.grad.ravel() for p in student.parameters()])
+
+    plain_value, plain_grad = value_and_grad()
+    fast_value, fast_grad = value_and_grad(teacher_softmax(teachers, x))
+    assert fast_value == plain_value
+    assert fast_grad.tobytes() == plain_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,42 @@ def test_disconnected_parameter_gets_zero_gradient():
 
 
 def test_repeated_backward_does_not_accumulate():
-    w = nn.Tensor(np.array([3.0]), requires_grad=True)
-    loss = nn.tsum(nn.mul(w, w))
+    w = nn.Tensor(np.array([3.0, -0.5]), requires_grad=True)
+    h = nn.tanh(w)  # an interior node with two consumers
+    loss = nn.tsum(nn.add(nn.mul(w, w), nn.mul(h, h)))
     nn.backward(loss)
-    first = w.grad.copy()
+    first_w, first_h = w.grad.copy(), h.grad.copy()
     nn.backward(loss)
-    assert np.array_equal(w.grad, first)
+    assert np.array_equal(w.grad, first_w)
+    assert np.array_equal(h.grad, first_h)
+
+
+def test_tensor_used_twice_gets_the_summed_gradient():
+    x = nn.Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    nn.backward(nn.tsum(nn.add(x, x)))
+    assert np.array_equal(x.grad, [2.0, 2.0])
+    nn.backward(nn.tsum(nn.mul(x, x)))
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def test_gradient_arriving_as_a_view_is_not_aliased():
+    # add's backward hands the upstream gradient itself to both operands and
+    # concat's hands out views of it; every node must own its gradient
+    a = nn.Tensor(np.ones((2, 2)), requires_grad=True)
+    b = nn.Tensor(np.ones((2, 3)), requires_grad=True)
+    s = nn.add(a, 0.0)
+    joined = nn.concat(s, b, axis=1)
+    out = nn.add(joined, 1.0)
+    nn.backward(nn.tsum(nn.mul(out, 3.0)))
+    grads = [a.grad, b.grad, s.grad, joined.grad, out.grad]
+    for i, left in enumerate(grads):
+        for right in grads[i + 1 :]:
+            assert not np.shares_memory(left, right)
+    assert np.array_equal(a.grad, np.full((2, 2), 3.0))
+    assert np.array_equal(b.grad, np.full((2, 3), 3.0))
+    a.grad += 1.0  # writing one gradient leaves the others alone
+    assert np.array_equal(s.grad, np.full((2, 2), 3.0))
+    assert np.array_equal(out.grad, np.full((2, 5), 3.0))
 
 
 def test_no_grad_blocks_recording():

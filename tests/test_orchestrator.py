@@ -190,6 +190,23 @@ def test_failure_policy_halt_raises_and_skip_degrades():
     assert any(ev.stage == "round" for ev in skip.events)
 
 
+def test_rolled_back_round_restores_accumulated_counts(monkeypatch):
+    sim = Simulation(tiny_cfg(variant="disue", accumulate_histograms=True, failure_policy="skip"), seed=0)
+    sim.run_round()
+    before = sim.accumulated_counts.copy()
+    assert before.any()
+
+    def failing_fusion(*args, **kwargs):
+        raise RuntimeError("injected fusion failure")
+
+    # the histogram is accumulated before fusion runs, so the failure lands
+    # after the counts have moved
+    monkeypatch.setattr("disue.orchestrator.iga_round", failing_fusion)
+    sim.run_round()
+    assert any("rolled back" in ev.message for ev in sim.events)
+    assert np.array_equal(sim.accumulated_counts, before)
+
+
 def test_histogram_accumulation_flag():
     cfg = tiny_cfg(accumulate_histograms=True)
     sim = Simulation(cfg, seed=0)
