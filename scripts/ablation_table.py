@@ -1,9 +1,9 @@
-"""Ablation table over the full variant family.
+"""Ablation table over the variants that end a round with one global model.
 
-Runs plain averaging, clustering-only, clustering-plus-averaging, the full
-method, and the four single-module ablations on the reference benchmark,
-then prints final accuracies sorted by mean. The slowest script here: the
-family is seven variants wide. Use --rounds 15 for a quick look.
+Runs plain averaging, clustering-plus-averaging, the full method, and the
+four single-module ablations on the reference benchmark, then prints
+final accuracies sorted by mean. The slowest script here: the family is
+seven variants wide. Use --rounds 15 for a quick look.
 """
 from __future__ import annotations
 

@@ -13,26 +13,21 @@ std over seeds of the final-window accuracy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import VARIANTS, SimConfig, emit_config, parse_config
-from .errors import DisueError
+from .config import VARIANT_SPECS, VARIANTS, SimConfig, emit_config, parse_config, validate_config
+from .errors import ConfigError, DisueError
 from .metrics import summarize, write_plot_data, write_round_csv, write_summary
 from .orchestrator import run_experiment
 
-ABLATION_FAMILY = (
-    "disue",
-    "disue_minus_gls",
-    "disue_minus_gwf",
-    "disue_minus_iga",
-    "disue_minus_lcf",
-    "disue_minus_ldiv",
-    "fedavg",
-)
+# every variant that ends a round with one global model
+ABLATION_FAMILY = tuple(v for v, spec in VARIANT_SPECS.items() if not spec.cluster_broadcast)
 
 SWEEP_PARAMS = ("beta_cf", "beta_div", "noise_dim", "pseudo_batch")
+INT_SWEEP_PARAMS = ("noise_dim", "pseudo_batch")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -52,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a single variant")
-    run_p.add_argument("--variant", choices=VARIANTS, help="algorithm variant (default disue)")
+    run_p.add_argument("--variant", choices=VARIANTS, help="algorithm variant (default: the config file's, else disue)")
     _add_common_flags(run_p)
 
     cmp_p = sub.add_parser("compare", help="run several variants on shared seeds")
@@ -69,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(args: argparse.Namespace, variant: str | None = None) -> SimConfig:
+def _base_config(args: argparse.Namespace, variant: str | None) -> SimConfig:
+    """The config file with the flags applied; a None variant keeps the file's."""
     overrides = {
         "rounds": args.rounds,
         "clients": args.clients,
@@ -77,17 +73,48 @@ def _effective_config(args: argparse.Namespace, variant: str | None = None) -> S
         "epsilon": args.epsilon,
         "workers": args.workers,
         "out_dir": args.out_dir,
+        "variant": variant,
     }
     if args.seed:
         overrides["seeds"] = args.seed
     if args.plot_data:
         overrides["emit_plot_data"] = True
-    if variant is not None:
-        overrides["variant"] = variant
     cfg = parse_config(args.config, overrides)
     if cfg.out_dir is None:
-        cfg = dataclasses.replace(cfg, out_dir="disue_out")
+        cfg = replace(cfg, out_dir="disue_out")
     return cfg
+
+
+def _sweep_value(param: str, raw: str) -> float | int:
+    try:
+        value = int(raw) if param in INT_SWEEP_PARAMS else float(raw)
+    except ValueError:
+        raise ConfigError(f"config key 'distill.{param}' cannot take the value {raw!r}") from None
+    if math.isnan(value):
+        raise ConfigError(f"config key 'distill.{param}' must not be NaN")
+    return value
+
+
+def _plan(args: argparse.Namespace) -> tuple[SimConfig, dict[str, SimConfig]]:
+    """The config to echo and every run the command asks for, keyed by output label.
+
+    The echo is the base config with the first run's variant.
+    """
+    if args.command == "run":
+        base = _base_config(args, args.variant)
+        return base, {base.variant: base}
+    if args.command == "sweep":
+        base = _base_config(args, "disue")
+        plan = {}
+        for raw in args.values.split(","):
+            raw = raw.strip()
+            distill = replace(base.distill, **{args.param: _sweep_value(args.param, raw)})
+            plan[f"{args.param}_{raw}"] = replace(base, distill=distill)
+        return base, plan
+    # dict.fromkeys keeps order while dropping accidental repeats
+    variants = list(dict.fromkeys(args.variants)) if args.command == "compare" else list(ABLATION_FAMILY)
+    base = _base_config(args, variants[0])
+    return base, {variant: replace(base, variant=variant) for variant in variants}
 
 
 def _prepare_out_dir(cfg: SimConfig) -> Path:
@@ -99,41 +126,24 @@ def _prepare_out_dir(cfg: SimConfig) -> Path:
     return out
 
 
-def _emit(out: Path, cfg: SimConfig, per_variant: dict[str, dict[int, list]]) -> None:
+def _emit(out: Path, cfg: SimConfig, per_label: dict[str, dict[int, list]]) -> None:
     emit_config(cfg, out / "config.json")
-    for variant, by_seed in per_variant.items():
+    for label, by_seed in per_label.items():
         for seed, rows in by_seed.items():
-            write_round_csv(out / f"{variant}_seed{seed}.csv", rows)
-    write_summary(out / "summary.json", summarize(per_variant))
+            write_round_csv(out / f"{label}_seed{seed}.csv", rows)
+    write_summary(out / "summary.json", summarize(per_label))
     if cfg.emit_plot_data:
-        write_plot_data(out / "plot_data.csv", per_variant)
-
-
-def _run_variants(args: argparse.Namespace, variants: list[str]) -> Path:
-    per_variant: dict[str, dict[int, list]] = {}
-    cfg = _effective_config(args, variants[0])
-    out = _prepare_out_dir(cfg)
-    for variant in variants:
-        cfg_v = _effective_config(args, variant)
-        per_variant[variant] = run_experiment(cfg_v).rows_by_seed
-    _emit(out, cfg, per_variant)
-    return out
+        write_plot_data(out / "plot_data.csv", per_label)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            out = _run_variants(args, [args.variant or "disue"])
-        elif args.command == "compare":
-            # dict.fromkeys keeps order while dropping accidental repeats
-            out = _run_variants(args, list(dict.fromkeys(args.variants)))
-        elif args.command == "ablate":
-            out = _run_variants(args, list(ABLATION_FAMILY))
-        elif args.command == "sweep":
-            out = _sweep(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+        echo, plan = _plan(args)
+        for cfg in plan.values():
+            validate_config(cfg)  # every run is checked before the first one starts
+        out = _prepare_out_dir(echo)
+        _emit(out, echo, {label: run_experiment(cfg).rows_by_seed for label, cfg in plan.items()})
     except DisueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -142,20 +152,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"wrote {out}/summary.json")
     return 0
-
-
-def _sweep(args: argparse.Namespace) -> Path:
-    cfg = _effective_config(args, "disue")
-    out = _prepare_out_dir(cfg)
-    per_variant: dict[str, dict[int, list]] = {}
-    for raw in args.values.split(","):
-        raw = raw.strip()
-        value: float | int = int(raw) if args.param in ("noise_dim", "pseudo_batch") else float(raw)
-        cfg_v = dataclasses.replace(cfg, distill=dataclasses.replace(cfg.distill, **{args.param: value}))
-        label = f"{args.param}_{raw}"
-        per_variant[label] = run_experiment(cfg_v).rows_by_seed
-    _emit(out, cfg, per_variant)
-    return out
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ clusters is whatever emerges; it is never chosen up front.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PairingError
-from .secure import MaskedParams
+from .errors import InvalidInputError
+from .secure import MaskedParams, check_pairing
 
 
 @dataclass
@@ -64,12 +64,7 @@ def build_similarity_matrix(masked: list[MaskedParams]) -> SimilarityMatrix:
     """All pairwise similarities from one round's masked uploads."""
     if len(masked) < 2:
         raise InvalidInputError("similarity needs at least 2 clients; smaller rounds are a degenerate single cluster")
-    tags = {m.epoch_tag for m in masked}
-    if len(tags) != 1:
-        raise PairingError(f"masked uploads span rounds {sorted(tags)}")
-    dims = {m.masked_vector.shape for m in masked}
-    if len(dims) != 1:
-        raise PairingError("masked uploads of different dimension")
+    check_pairing(masked)
     stacked = np.stack([m.masked_vector for m in masked])
     values = stacked @ stacked.T
     values = (values + values.T) / 2.0  # exact symmetry, float dot is order-sensitive

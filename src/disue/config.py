@@ -15,18 +15,31 @@ from pathlib import Path
 from .distill import DistillConfig
 from .errors import ConfigError
 
-VARIANTS = (
-    "disue",
-    "fedavg",
-    "cfl_only",
-    "disue_minus_iga",
-    "disue_minus_gls",
-    "disue_minus_gwf",
-    "disue_minus_lcf",
-    "disue_minus_ldiv",
-)
+@dataclass(frozen=True)
+class VariantSpec:
+    """Which steps of the method a variant runs, and how it weakens them."""
 
-IGA_VARIANTS = ("disue", "disue_minus_gls", "disue_minus_gwf", "disue_minus_lcf", "disue_minus_ldiv")
+    clusters: bool = True  # False averages the actives as one group
+    fuses: bool = True  # distill the cluster models into the global model
+    cluster_broadcast: bool = False  # members next train from their cluster's model
+    uniform_gls: bool = False  # sample fusion labels uniformly
+    uniform_gwf: bool = False  # weight every teacher 1/K for every class
+    zeroed: tuple[str, ...] = ()  # DistillConfig weights set to 0.0
+
+
+# the one declaration of every variant; the README's variants table describes it
+VARIANT_SPECS: dict[str, VariantSpec] = {
+    "disue": VariantSpec(),
+    "fedavg": VariantSpec(clusters=False, fuses=False),
+    "cfl_only": VariantSpec(fuses=False, cluster_broadcast=True),
+    "disue_minus_iga": VariantSpec(fuses=False),
+    "disue_minus_gls": VariantSpec(uniform_gls=True),
+    "disue_minus_gwf": VariantSpec(uniform_gwf=True),
+    "disue_minus_lcf": VariantSpec(zeroed=("beta_cf",)),
+    "disue_minus_ldiv": VariantSpec(zeroed=("beta_div",)),
+}
+
+VARIANTS = tuple(VARIANT_SPECS)
 
 
 @dataclass

@@ -7,8 +7,7 @@ label-skewed shards through a Dirichlet allocation per class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,22 +223,3 @@ def collect_label_histogram(partition, clients: dict[int, ClientDataset], num_cl
             counts[k] += label_counts(clients[cid].labels, num_classes)
     return LabelHistogram(counts)
 
-
-def dump_dataset(dataset: SyntheticDataset, path) -> None:
-    """One sample per line: label then features, whitespace separated."""
-    lines = []
-    for x, y in zip(dataset.features, dataset.labels):
-        lines.append(" ".join([str(int(y)), *[repr(float(v)) for v in x]]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_dataset(path, num_classes: int | None = None) -> SyntheticDataset:
-    """Inverse of dump_dataset; class means are recomputed empirically."""
-    rows = [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
-    if not rows:
-        raise InvalidInputError(f"no samples in {path}")
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    features = np.array([[float(v) for v in r[1:]] for r in rows])
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    means = np.stack([features[labels == y].mean(axis=0) if np.any(labels == y) else np.zeros(features.shape[1]) for y in range(k)])
-    return SyntheticDataset(features, labels, k, means)

@@ -30,8 +30,6 @@ from .aggregation import GlsDistribution, GwfWeights, sample_labels
 from .errors import DivergenceError, InvalidInputError
 from .nn import Classifier, Generator, Tensor
 
-_PROB_FLOOR = 1e-12
-
 
 @dataclass
 class DistillConfig:
@@ -138,13 +136,7 @@ def _weighted_kl(teacher_probs: Sequence, student_probs, weights: np.ndarray, co
     """
     total = None
     for k, probs in enumerate(teacher_probs):
-        p = nn.as_tensor(probs)
-        q = nn.as_tensor(student_probs)
-        row_kl = nn.tsum(
-            nn.mul(p, nn.sub(nn.log(nn.clamp_min(p, _PROB_FLOOR)), nn.log(nn.clamp_min(q, _PROB_FLOOR)))),
-            axis=1,
-        )
-        contrib = nn.tsum(nn.mul(row_kl, weights[k]))
+        contrib = nn.tsum(nn.mul(nn.kl_rows(probs, student_probs), weights[k]))
         total = contrib if total is None else nn.add(total, contrib)
     return nn.mul(total, 1.0 / count)
 

@@ -8,7 +8,7 @@ reproduce identical parameters bit for bit.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -412,18 +412,24 @@ def pairwise_distances(x) -> Tensor:
 _PROB_FLOOR = 1e-12
 
 
-def kl_divergence(p, q) -> Tensor:
-    """Mean over rows of sum_c p_c * ln(p_c / q_c).
+def kl_rows(p, q) -> Tensor:
+    """sum_c p_c * ln(p_c / q_c) along the last axis, one value per row.
 
-    q is clamped below at 1e-12 before the log; p entries equal to 0
-    contribute exactly 0. Accepts a single distribution or a batch of rows.
+    Both sides are clamped below at 1e-12 before the log, so p entries
+    equal to 0 contribute exactly 0. Either side may be a live tensor or a
+    constant.
     """
+    p, q = as_tensor(p), as_tensor(q)
+    return tsum(mul(p, sub(log(clamp_min(p, _PROB_FLOOR)), log(clamp_min(q, _PROB_FLOOR)))), axis=-1)
+
+
+def kl_divergence(p, q) -> Tensor:
+    """Mean over rows of kl_rows(p, q); accepts a single distribution or a batch of rows."""
     p, q = as_tensor(p), as_tensor(q)
     if p.data.shape != q.data.shape:
         raise InvalidInputError(f"kl_divergence shape mismatch: {p.data.shape} vs {q.data.shape}")
     rows = 1 if p.data.ndim == 1 else p.data.shape[0]
-    term = mul(p, sub(log(clamp_min(p, _PROB_FLOOR)), log(clamp_min(q, _PROB_FLOOR))))
-    return mul(tsum(term), 1.0 / rows)
+    return mul(tsum(kl_rows(p, q)), 1.0 / rows)
 
 
 def cross_entropy(logits, labels) -> Tensor:

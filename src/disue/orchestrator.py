@@ -11,11 +11,11 @@ One round of the full pipeline:
   5. the distillation stage fuses the cluster models into the universal
      model that is broadcast next round.
 
-Variants switch stages off: `fedavg` skips 3 to 5 (direct sample-weighted
-averaging), `cfl_only` skips 5 and broadcasts cluster models to their
-members only, `disue_minus_iga` skips 5 but keeps the global broadcast,
-and the remaining `disue_minus_*` ablations degrade single ingredients of
-stage 5.
+Variants switch stages off or weaken them as declared once, in
+`config.VARIANT_SPECS`: a variant that does not cluster averages all
+actives as one group in 4, one that does not fuse skips 5, and a
+cluster-broadcast variant sends each member its cluster's model instead
+of the global one.
 
 Randomness is streamed per purpose: every consumer draws from a generator
 keyed by (master seed, purpose tag, round, client), so results do not
@@ -40,7 +40,7 @@ from .aggregation import (
     uniform_gwf,
 )
 from .clustering import ClusterPartition, affinity_propagation, build_similarity_matrix, singleton_partition
-from .config import IGA_VARIANTS, SimConfig, validate_config
+from .config import VARIANT_SPECS, SimConfig, validate_config
 from .data import (
     ClientDataset,
     LabelHistogram,
@@ -195,6 +195,7 @@ class Simulation:
     def __init__(self, cfg: SimConfig, seed: int, data: FederatedData | None = None):
         validate_config(cfg)
         self.cfg = cfg
+        self.spec = VARIANT_SPECS[cfg.variant]
         self.seed = int(seed)
         self.data = data if data is not None else build_federated_data(cfg, seed)
         self.template = Classifier(self.data.feature_dim, self.data.num_classes, hidden=(cfg.hidden_dim, cfg.hidden_dim))
@@ -208,10 +209,11 @@ class Simulation:
         self.generator = self._fresh_generator(stream(seed, _TAG_GEN_INIT))
         self.round_index = 0
         self.events: list[Event] = []
-        # cfl_only never broadcasts globally after round 0, so remember what
-        # each client last received; everyone starts from the initial model
+        # a cluster-broadcast variant never broadcasts globally after round 0,
+        # so remember what each client last received; everyone starts from
+        # the initial model
         self.client_feed: dict[int, np.ndarray] = {}
-        if cfg.variant == "cfl_only":
+        if self.spec.cluster_broadcast:
             self.client_feed = {shard.client_id: self.global_params for shard in self.data.clients}
         self.accumulated_counts = np.zeros((cfg.clients, self.data.num_classes), dtype=np.int64)
         self.secure = SecParams(cfg.secure_seed if cfg.secure_seed is not None else seed)
@@ -228,7 +230,7 @@ class Simulation:
         )
 
     def _client_init(self, client_id: int) -> np.ndarray:
-        if self.cfg.variant == "cfl_only":
+        if self.spec.cluster_broadcast:
             return self.client_feed[client_id]
         return self.global_params
 
@@ -316,48 +318,39 @@ class Simulation:
         return row
 
     def _round_body(self, r: int) -> RoundMetrics:
-        cfg = self.cfg
+        cfg, spec = self.cfg, self.spec
         actives = sample_active_clients(cfg.clients, cfg.act, r, self.seed)
         params_by_client, mean_local_loss = self._train_actives(actives, r)
         shards = {s.client_id: s for s in self.data.clients}
         weighted = lambda ids: [(params_by_client[cid], shards[cid].train.n) for cid in ids]
 
         loss_cd = loss_cf = loss_div = float("nan")
-        if cfg.variant == "fedavg":
-            partition = singleton_partition([int(c) for c in actives])
-            cluster_models = [intra_group_aggregate(weighted(partition.members[0]))]
-            new_global = cluster_models[0]
-        else:
+        if spec.clusters:
             partition = self._cluster_actives(actives, params_by_client, r)
-            cluster_models = [intra_group_aggregate(weighted(members)) for members in partition.members]
-            cluster_sizes = [sum(shards[cid].train.n for cid in members) for members in partition.members]
-            new_global = global_average(list(zip(cluster_models, cluster_sizes)))
-            if cfg.variant in IGA_VARIANTS:
-                hist = self._histogram(partition, r)
-                gls = uniform_gls(self.data.num_classes) if cfg.variant == "disue_minus_gls" else compute_gls(hist)
-                gwf = (
-                    uniform_gwf(partition.num_clusters, self.data.num_classes)
-                    if cfg.variant == "disue_minus_gwf"
-                    else compute_gwf(hist)
-                )
-                dcfg = cfg.distill
-                if cfg.variant == "disue_minus_lcf":
-                    dcfg = replace(dcfg, beta_cf=0.0)
-                if cfg.variant == "disue_minus_ldiv":
-                    dcfg = replace(dcfg, beta_div=0.0)
-                if dcfg.reinit_generator:
-                    self.generator = self._fresh_generator(stream(self.seed, _TAG_GEN_INIT, r))
-                teachers = [self.template.spawn(m) for m in cluster_models]
-                student = self.template.spawn(new_global)
-                result = iga_round(teachers, student, self.generator, gls, gwf, dcfg, stream(self.seed, _TAG_IGA, r))
-                if result.diverged:
-                    self.events.append(Event(r, "distill", "fusion diverged; kept the plain global average"))
-                else:
-                    new_global = result.student.param_vector()
-                loss_cd, loss_cf, loss_div = result.mean_losses()
+        else:
+            partition = singleton_partition([int(c) for c in actives])
+        cluster_models = [intra_group_aggregate(weighted(members)) for members in partition.members]
+        cluster_sizes = [sum(shards[cid].train.n for cid in members) for members in partition.members]
+        # one cluster passes through bit for bit, so an unclustered round is plain averaging
+        new_global = global_average(list(zip(cluster_models, cluster_sizes)))
+        if spec.fuses:
+            hist = self._histogram(partition, r)
+            gls = uniform_gls(self.data.num_classes) if spec.uniform_gls else compute_gls(hist)
+            gwf = uniform_gwf(partition.num_clusters, self.data.num_classes) if spec.uniform_gwf else compute_gwf(hist)
+            dcfg = replace(cfg.distill, **{key: 0.0 for key in spec.zeroed})
+            if dcfg.reinit_generator:
+                self.generator = self._fresh_generator(stream(self.seed, _TAG_GEN_INIT, r))
+            teachers = [self.template.spawn(m) for m in cluster_models]
+            student = self.template.spawn(new_global)
+            result = iga_round(teachers, student, self.generator, gls, gwf, dcfg, stream(self.seed, _TAG_IGA, r))
+            if result.diverged:
+                self.events.append(Event(r, "distill", "fusion diverged; kept the plain global average"))
+            else:
+                new_global = result.student.param_vector()
+            loss_cd, loss_cf, loss_div = result.mean_losses()
 
         # broadcast
-        if cfg.variant == "cfl_only":
+        if spec.cluster_broadcast:
             for k, members in enumerate(partition.members):
                 for cid in members:
                     self.client_feed[cid] = cluster_models[k]

@@ -13,6 +13,7 @@ the mask. The honest threat model is documented in the README.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,10 +60,16 @@ def ssc_encrypt(params: np.ndarray, sec: SecParams, round_index: int, client_id:
     return MaskedParams(client_id=int(client_id), masked_vector=masked, epoch_tag=int(round_index))
 
 
+def check_pairing(masked: Sequence[MaskedParams]) -> None:
+    """Masked uploads pair up only within one round and one dimension."""
+    tags = {m.epoch_tag for m in masked}
+    if len(tags) != 1:
+        raise PairingError(f"masked uploads span rounds {sorted(tags)}")
+    if len({m.masked_vector.shape for m in masked}) != 1:
+        raise PairingError("masked uploads of different dimension")
+
+
 def ssc_compute(a: MaskedParams, b: MaskedParams) -> float:
     """Cosine similarity of the underlying parameters, from masked uploads only."""
-    if a.epoch_tag != b.epoch_tag:
-        raise PairingError(f"masked uploads from different rounds: {a.epoch_tag} vs {b.epoch_tag}")
-    if a.masked_vector.shape != b.masked_vector.shape:
-        raise PairingError("masked uploads of different dimension")
+    check_pairing((a, b))
     return float(a.masked_vector @ b.masked_vector)

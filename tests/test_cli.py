@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from disue import cli
 from disue.cli import main
 from disue.config import (
     DatasetConfig,
@@ -26,6 +27,7 @@ from disue.metrics import (
     strip_wall_ms,
     write_round_csv,
 )
+from disue.orchestrator import run_experiment
 
 TINY = {
     "rounds": 2,
@@ -268,3 +270,30 @@ def test_cli_overrides_reach_the_simulation(tmp_path):
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["rounds"] == 1
     assert len(read_round_csv(out / "fedavg_seed0.csv")) == 1
+
+
+def test_run_takes_the_variant_from_the_config_file(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_tiny(tmp_path, {"variant": "fedavg"}), "--out-dir", str(out)]) == 0
+    assert (out / "fedavg_seed0.csv").exists()
+    assert not (out / "disue_seed0.csv").exists()
+    assert json.loads((out / "config.json").read_text())["variant"] == "fedavg"
+
+
+def test_run_variant_flag_beats_the_config_file(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--variant", "cfl_only", "--config", write_tiny(tmp_path, {"variant": "fedavg"}), "--out-dir", str(out)]) == 0
+    assert (out / "cfl_only_seed0.csv").exists()
+    assert json.loads((out / "config.json").read_text())["variant"] == "cfl_only"
+
+
+@pytest.mark.parametrize("param, values", [("noise_dim", "8,x"), ("beta_cf", "0.5,-1")])
+def test_sweep_rejects_a_bad_value_before_any_run(param, values, tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: started.append(cfg) or run_experiment(cfg))
+    out = tmp_path / "out"
+    code = main(["sweep", "--param", param, "--values", values, "--config", write_tiny(tmp_path), "--rounds", "1", "--out-dir", str(out)])
+    assert code == 2
+    assert f"distill.{param}" in capsys.readouterr().err
+    assert started == []
+    assert not list(tmp_path.rglob("*.csv"))

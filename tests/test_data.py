@@ -11,9 +11,7 @@ from disue.data import (
     ClientDataset,
     collect_label_histogram,
     dirichlet_partition,
-    dump_dataset,
     label_counts,
-    load_dataset,
     make_synthetic_dataset,
     split_client_holdout,
     split_dataset,
@@ -169,11 +167,3 @@ def test_client_holdout_keeps_at_least_one_train_sample():
     train, hold = split_client_holdout(tiny, 0.9, seed=0)
     assert train.n == 1 and hold.n == 0
 
-
-def test_dump_load_round_trip(tmp_path):
-    ds = make_synthetic_dataset(3, 20, 2, seed=9)
-    path = tmp_path / "data.txt"
-    dump_dataset(ds, path)
-    back = load_dataset(path, num_classes=3)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
