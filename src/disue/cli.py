@@ -37,7 +37,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clients", type=int, help="total number of clients")
     p.add_argument("--act", type=float, help="fraction of clients active per round")
     p.add_argument("--epsilon", type=float, help="Dirichlet concentration of the label skew")
-    p.add_argument("--workers", type=int, help="thread pool size for local training")
+    p.add_argument("--workers", type=int, help="accepted for compatibility; local training runs serially and results are bitwise identical at any count")
     p.add_argument("--out-dir", help="output directory (default disue_out)")
     p.add_argument("--plot-data", action="store_true", help="also write long-format plot_data.csv")
 

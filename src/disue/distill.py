@@ -117,12 +117,6 @@ def _draw_labels_and_noise(
     return labels, noise
 
 
-def generate_pseudo_batch(generator: Generator, gls: GlsDistribution, count: int, rng: np.random.Generator) -> PseudoBatch:
-    """Sample labels and noise, then synthesize; graph recording follows the ambient mode."""
-    labels, noise = _draw_labels_and_noise(gls, count, generator.noise_dim, rng)
-    return PseudoBatch(noise=noise, labels=labels, samples=generator.forward(noise, labels))
-
-
 def _teacher_sample_weights(gwf: GwfWeights, labels: np.ndarray) -> np.ndarray:
     """weights[k, i] = alpha[k, labels[i]]."""
     return gwf.alpha[:, labels]

@@ -19,13 +19,14 @@ of the global one.
 
 Randomness is streamed per purpose: every consumer draws from a generator
 keyed by (master seed, purpose tag, round, client), so results do not
-depend on scheduling or worker count.
+depend on scheduling or worker count. Local training runs one client
+after another at any `workers` value, so results are bitwise identical at
+any worker count.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -237,8 +238,11 @@ class Simulation:
     def _train_actives(self, actives: np.ndarray, round_index: int) -> tuple[dict[int, np.ndarray], float]:
         cfg = self.cfg
         shards = {s.client_id: s for s in self.data.clients}
-
-        def job(cid: int) -> tuple[int, np.ndarray, float, bool]:
+        params_by_client: dict[int, np.ndarray] = {}
+        losses = []
+        # serial at any worker count: threads take turns on this GIL-bound
+        # work, and a process pool measured no faster than run-to-run noise
+        for cid in actives.tolist():
             params, loss, diverged = local_train(
                 shards[cid].train,
                 self._client_init(cid),
@@ -249,16 +253,6 @@ class Simulation:
                 cfg.weight_decay,
                 stream(self.seed, _TAG_LOCAL, round_index, cid),
             )
-            return cid, params, loss, diverged
-
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(job, actives.tolist()))
-        else:
-            results = [job(cid) for cid in actives.tolist()]
-        params_by_client: dict[int, np.ndarray] = {}
-        losses = []
-        for cid, params, loss, diverged in sorted(results):
             params_by_client[cid] = params
             if diverged:
                 self.events.append(Event(round_index, "local_train", f"client {cid} diverged; kept broadcast parameters"))

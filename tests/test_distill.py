@@ -13,7 +13,7 @@ from disue.data import make_synthetic_dataset
 from disue.distill import (
     DistillConfig,
     PseudoBatch,
-    generate_pseudo_batch,
+    _draw_labels_and_noise,
     iga_round,
     loss_cd,
     loss_cf,
@@ -197,8 +197,10 @@ def test_student_step_direction_reduces_kl():
 def test_generate_pseudo_batch_shapes_and_rng():
     _, _, gen = _small_models()
     gls = GlsDistribution(probs=np.array([0.5, 0.5, 0.0, 0.0]))
-    a = generate_pseudo_batch(gen, gls, 12, np.random.default_rng(5))
-    b = generate_pseudo_batch(gen, gls, 12, np.random.default_rng(5))
+    labels_a, noise_a = _draw_labels_and_noise(gls, 12, gen.noise_dim, np.random.default_rng(5))
+    labels_b, noise_b = _draw_labels_and_noise(gls, 12, gen.noise_dim, np.random.default_rng(5))
+    a = PseudoBatch(noise_a, labels_a, gen.forward(noise_a, labels_a))
+    b = PseudoBatch(noise_b, labels_b, gen.forward(noise_b, labels_b))
     assert a.size == 12
     assert a.noise.shape == (12, 8)
     assert a.samples.data.shape == (12, 2)
@@ -312,11 +314,12 @@ def _truthfulness(gen, teachers, gwf, gls, count=400):
     """How often the weighted teacher mixture classifies a synthesized sample
     as the label it was conditioned on."""
     with nn.no_grad():
-        batch = generate_pseudo_batch(gen, gls, count, np.random.default_rng(12345))
-        probs = [nn.softmax(t.forward(batch.samples)).data for t in teachers]
-        w = gwf.alpha[:, batch.labels]
+        labels, noise = _draw_labels_and_noise(gls, count, gen.noise_dim, np.random.default_rng(12345))
+        samples = gen.forward(noise, labels)
+        probs = [nn.softmax(t.forward(samples)).data for t in teachers]
+        w = gwf.alpha[:, labels]
         mix = sum(w[k][:, None] * probs[k] for k in range(len(teachers)))
-        return float(np.mean(np.argmax(mix, axis=1) == batch.labels))
+        return float(np.mean(np.argmax(mix, axis=1) == labels))
 
 
 def test_two_expert_fusion_mechanism():

@@ -1,13 +1,23 @@
 """Round loop: determinism, variant semantics, failure handling."""
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import disue
 from disue.config import DatasetConfig, SimConfig
+from disue.data import ClientDataset
 from disue.distill import DistillConfig
 from disue.errors import InvalidInputError
+from disue.metrics import CSV_HEADER, strip_wall_ms
 from disue.orchestrator import (
+    FederatedData,
     Simulation,
     build_federated_data,
     local_train,
@@ -119,6 +129,67 @@ def test_worker_count_does_not_change_results():
     rows_serial = Simulation(tiny_cfg(variant="disue", act=1.0), seed=2).run()
     rows_pool = Simulation(tiny_cfg(variant="disue", act=1.0, workers=4), seed=2).run()
     assert rows_key(rows_serial) == rows_key(rows_pool)
+
+
+def _masked_csv(rows) -> str:
+    return strip_wall_ms("\n".join([CSV_HEADER] + [row.csv_row() for row in rows]) + "\n")
+
+
+def test_worker_count_keeps_each_client_on_its_own_cluster_model():
+    # cfl_only sends each member its cluster's model, so once a round forms
+    # two or more clusters the clients of the next round start from
+    # different parameters
+    rows_serial = Simulation(tiny_cfg(variant="cfl_only", act=1.0), seed=0).run()
+    rows_pool = Simulation(tiny_cfg(variant="cfl_only", act=1.0, workers=2), seed=0).run()
+    assert max(r.cluster_count for r in rows_serial[:-1]) >= 2
+    assert _masked_csv(rows_serial) == _masked_csv(rows_pool)
+
+
+def _with_workers(cfg: SimConfig, workers: int) -> SimConfig:
+    return dataclasses.replace(cfg, workers=workers)
+
+
+def _data_with_an_empty_shard(cfg: SimConfig, seed: int) -> FederatedData:
+    """The generated federation, with the train shard of a client active in round 0 but not in round 1 emptied."""
+    data = build_federated_data(cfg, seed)
+    first = set(sample_active_clients(cfg.clients, cfg.act, 0, seed).tolist())
+    second = set(sample_active_clients(cfg.clients, cfg.act, 1, seed).tolist())
+    cid = min(first - second)
+    empty = ClientDataset(cid, np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64))
+    data.clients[cid] = dataclasses.replace(data.clients[cid], train=empty)
+    return data
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_local_training_rolls_back_alike_at_any_worker_count(workers):
+    seed = 0
+    cfg = tiny_cfg(variant="fedavg", rounds=2, failure_policy="skip")
+    data = _data_with_an_empty_shard(cfg, seed)
+    reference = Simulation(cfg, seed, data=data)
+    reference_rows = reference.run()
+    sim = Simulation(_with_workers(cfg, workers), seed, data=data)
+    rows = [sim.run_round(), sim.run_round()]
+    assert [(ev.round_index, ev.stage, ev.message) for ev in sim.events] == [
+        (ev.round_index, ev.stage, ev.message) for ev in reference.events
+    ]
+    assert [(ev.round_index, ev.stage) for ev in sim.events] == [(0, "round")]
+    assert "empty shard" in sim.events[0].message
+    assert _masked_csv(rows) == _masked_csv(reference_rows)
+    assert np.isfinite(rows[1].loss_local)  # the round after the failure trained normally
+
+    halting = _with_workers(dataclasses.replace(cfg, failure_policy="halt"), workers)
+    with pytest.raises(InvalidInputError):
+        Simulation(halting, seed, data=data).run_round()
+
+
+def test_importing_the_simulator_starts_no_pool_machinery():
+    code = (
+        "import sys, disue.orchestrator, disue.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'concurrent.futures.thread') if m in sys.modules))"
+    )
+    src = str(Path(disue.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fedavg_and_skipped_fusion_share_a_trajectory():
