@@ -15,7 +15,6 @@ from .data import (
     ClientDataset,
     LabelHistogram,
     SyntheticDataset,
-    collect_label_histogram,
     dirichlet_partition,
     make_synthetic_dataset,
 )

@@ -133,13 +133,34 @@ def _build(cls, payload: dict, prefix: str = ""):
                 raise ConfigError(f"config key '{prefix}{name}' must be an object")
             kwargs[name] = _build(nested[name], value, prefix=f"{name}.")
         else:
-            kwargs[name] = _coerce(name, value, prefix)
+            kwargs[name] = _coerce(known[name], value, prefix)
     return cls(**kwargs)
 
 
-def _coerce(name: str, value, prefix: str):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not a count
+
+
+# the JSON values each annotated field type takes; a float field takes an int too
+_ACCEPTS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+
+def _coerce(f: dataclasses.Field, value, prefix: str):
+    """Check a value against its field's type; nothing is converted, so the echo keeps its bytes."""
+    key = f"{prefix}{f.name}"
     if isinstance(value, float) and math.isnan(value):
-        raise ConfigError(f"config key '{prefix}{name}' must not be NaN")
+        raise ConfigError(f"config key '{key}' must not be NaN")
+    kind = f.type.removesuffix(" | None")
+    if value is None and kind != f.type:
+        return value  # an optional field left unset
+    if not _ACCEPTS[kind](value):
+        raise ConfigError(f"config key '{key}' must be {f.type}, got {json.dumps(value)}")
     return value
 
 

@@ -207,19 +207,3 @@ def split_client_holdout(client: ClientDataset, fraction: float, seed) -> tuple[
 
 def label_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.bincount(np.asarray(labels, dtype=np.int64), minlength=num_classes).astype(np.int64)
-
-
-def collect_label_histogram(partition, clients: dict[int, ClientDataset], num_classes: int) -> LabelHistogram:
-    """Per-cluster label counts for the members of a ClusterPartition.
-
-    `clients` maps client id to dataset; a member without a dataset is a
-    caller bug and is rejected.
-    """
-    counts = np.zeros((partition.num_clusters, num_classes), dtype=np.int64)
-    for k, members in enumerate(partition.members):
-        for cid in members:
-            if cid not in clients:
-                raise InvalidStateError(f"client {cid} in partition has no dataset")
-            counts[k] += label_counts(clients[cid].labels, num_classes)
-    return LabelHistogram(counts)
-

@@ -94,8 +94,6 @@ class IgaRecord:
 
 @dataclass
 class IgaResult:
-    student: Classifier
-    generator: Generator
     trace: list[IgaRecord] = field(default_factory=list)
     diverged: bool = False
 
@@ -239,16 +237,16 @@ def iga_round(
 ) -> IgaResult:
     """One full inter-group aggregation pass: alternate generator and student updates.
 
-    On divergence (non-finite loss or gradient) both models are restored to
-    their state at entry and the result is flagged.
+    The student and the generator are updated in place. On divergence
+    (non-finite loss or gradient) the pass stops and the result is flagged;
+    both models are then left mid-update, and a caller that built them for
+    this pass drops them.
     """
     cfg.validate()
     if not teachers:
         raise InvalidInputError("iga_round needs at least one teacher")
     for t in teachers:
         t.freeze()
-    student_backup = student.param_vector()
-    generator_backup = generator.param_vector()
     trace: list[IgaRecord] = []
     try:
         for inner in range(cfg.inner_iters):
@@ -278,7 +276,5 @@ def iga_round(
                 nn.backward(cd)
                 student.step(cfg.student_lr)
     except DivergenceError:
-        student.load_param_vector(student_backup)
-        generator.load_param_vector(generator_backup)
-        return IgaResult(student, generator, trace, diverged=True)
-    return IgaResult(student, generator, trace, diverged=False)
+        return IgaResult(trace, diverged=True)
+    return IgaResult(trace)

@@ -48,36 +48,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A graph-free tensor sharing this tensor's values."""
-        return Tensor(self.data)
-
     def needs_grad(self) -> bool:
         return self.requires_grad or bool(self._parents)
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'on' if self.needs_grad() else 'off'})"

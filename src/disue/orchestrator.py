@@ -17,6 +17,13 @@ actives as one group in 4, one that does not fuse skips 5, and a
 cluster-broadcast variant sends each member its cluster's model instead
 of the global one.
 
+Everything a round changes lives in one frozen `SimState`: the round
+index, the global model, the generator, what each client last received
+and the running label totals. A round maps the committed state to the
+next one without writing into it, and `run_round` commits the new state
+only when the round succeeds; a failed round commits nothing. Events are
+an append-only log kept outside the state.
+
 Randomness is streamed per purpose: every consumer draws from a generator
 keyed by (master seed, purpose tag, round, client), so results do not
 depend on scheduling or worker count. Local training runs one client
@@ -45,7 +52,6 @@ from .config import VARIANT_SPECS, SimConfig, validate_config
 from .data import (
     ClientDataset,
     LabelHistogram,
-    collect_label_histogram,
     dirichlet_partition,
     label_counts,
     make_synthetic_dataset,
@@ -186,11 +192,29 @@ def _evaluate(template: Classifier, params: np.ndarray, features: np.ndarray, la
     return nn.accuracy(template.spawn(params), features, labels)
 
 
+@dataclass(frozen=True)
+class SimState:
+    """Everything one seed's simulation carries from a round to the next.
+
+    A round reads one state and returns the next. It never writes into the
+    arrays or the dict of the state it read, so a round that fails leaves
+    nothing to undo.
+    """
+
+    round_index: int
+    global_params: np.ndarray
+    generator_params: np.ndarray
+    # what each client last received; filled only by cluster-broadcast variants
+    client_feed: dict[int, np.ndarray]
+    accumulated_counts: np.ndarray  # [clients, classes] label totals over fusing rounds joined
+
+
 class Simulation:
-    """One seed's stateful simulation; call run_round() T times or run().
+    """One seed's simulation; call run_round() T times or run().
 
     `data` can be injected to study hand-built federations; by default the
-    environment is generated from (cfg, seed).
+    environment is generated from (cfg, seed). Its clients must be listed
+    by id, one for each of cfg.clients.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, data: FederatedData | None = None):
@@ -199,27 +223,36 @@ class Simulation:
         self.spec = VARIANT_SPECS[cfg.variant]
         self.seed = int(seed)
         self.data = data if data is not None else build_federated_data(cfg, seed)
-        self.template = Classifier(self.data.feature_dim, self.data.num_classes, hidden=(cfg.hidden_dim, cfg.hidden_dim))
+        if [shard.client_id for shard in self.data.clients] != list(range(cfg.clients)):
+            raise InvalidInputError(f"data must hold clients 0..{cfg.clients - 1}, each at the position of its id")
+        num_classes = self.data.num_classes
+        self.train_label_counts = np.stack([label_counts(shard.train.labels, num_classes) for shard in self.data.clients])
+        self.template = Classifier(self.data.feature_dim, num_classes, hidden=(cfg.hidden_dim, cfg.hidden_dim))
         init_model = Classifier(
             self.data.feature_dim,
-            self.data.num_classes,
+            num_classes,
             hidden=(cfg.hidden_dim, cfg.hidden_dim),
             rng=stream(seed, _TAG_MODEL_INIT),
         )
-        self.global_params = init_model.param_vector()
-        self.generator = self._fresh_generator(stream(seed, _TAG_GEN_INIT))
-        self.round_index = 0
+        init_params = init_model.param_vector()
+        self.state = SimState(
+            round_index=0,
+            global_params=init_params,
+            generator_params=self._fresh_generator(stream(seed, _TAG_GEN_INIT)).param_vector(),
+            # a cluster-broadcast variant never broadcasts globally after round 0,
+            # so everyone starts from the initial model
+            client_feed=dict.fromkeys(range(cfg.clients), init_params) if self.spec.cluster_broadcast else {},
+            accumulated_counts=np.zeros((cfg.clients, num_classes), dtype=np.int64),
+        )
         self.events: list[Event] = []
-        # a cluster-broadcast variant never broadcasts globally after round 0,
-        # so remember what each client last received; everyone starts from
-        # the initial model
-        self.client_feed: dict[int, np.ndarray] = {}
-        if self.spec.cluster_broadcast:
-            self.client_feed = {shard.client_id: self.global_params for shard in self.data.clients}
-        self.accumulated_counts = np.zeros((cfg.clients, self.data.num_classes), dtype=np.int64)
         self.secure = SecParams(cfg.secure_seed if cfg.secure_seed is not None else seed)
 
-    def _fresh_generator(self, rng: np.random.Generator) -> Generator:
+    @property
+    def global_params(self) -> np.ndarray:
+        """The committed global model."""
+        return self.state.global_params
+
+    def _fresh_generator(self, rng: np.random.Generator | None) -> Generator:
         d = self.cfg.distill
         return Generator(
             noise_dim=d.noise_dim,
@@ -230,32 +263,26 @@ class Simulation:
             rng=rng,
         )
 
-    def _client_init(self, client_id: int) -> np.ndarray:
-        if self.spec.cluster_broadcast:
-            return self.client_feed[client_id]
-        return self.global_params
-
-    def _train_actives(self, actives: np.ndarray, round_index: int) -> tuple[dict[int, np.ndarray], float]:
-        cfg = self.cfg
-        shards = {s.client_id: s for s in self.data.clients}
+    def _train_actives(self, state: SimState, actives: np.ndarray) -> tuple[dict[int, np.ndarray], float]:
+        cfg, r = self.cfg, state.round_index
         params_by_client: dict[int, np.ndarray] = {}
         losses = []
         # serial at any worker count: threads take turns on this GIL-bound
         # work, and a process pool measured no faster than run-to-run noise
         for cid in actives.tolist():
             params, loss, diverged = local_train(
-                shards[cid].train,
-                self._client_init(cid),
+                self.data.clients[cid].train,
+                state.client_feed[cid] if self.spec.cluster_broadcast else state.global_params,
                 self.template,
                 cfg.local_epochs,
                 cfg.local_lr,
                 cfg.batch_size,
                 cfg.weight_decay,
-                stream(self.seed, _TAG_LOCAL, round_index, cid),
+                stream(self.seed, _TAG_LOCAL, r, cid),
             )
             params_by_client[cid] = params
             if diverged:
-                self.events.append(Event(round_index, "local_train", f"client {cid} diverged; kept broadcast parameters"))
+                self.events.append(Event(r, "local_train", f"client {cid} diverged; kept broadcast parameters"))
             else:
                 losses.append(loss)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -272,51 +299,37 @@ class Simulation:
             self.events.append(Event(round_index, "clustering", f"message passing hit the iteration cap at {partition.n_iterations}"))
         return partition
 
-    def _histogram(self, partition: ClusterPartition, round_index: int) -> LabelHistogram:
-        shards = {s.client_id: s.train for s in self.data.clients}
-        if not self.cfg.accumulate_histograms:
-            return collect_label_histogram(partition, shards, self.data.num_classes)
-        # accumulate counts every round a client participates, then read the
-        # running totals through the current round's cluster structure
-        for members in partition.members:
-            for cid in members:
-                self.accumulated_counts[cid] += label_counts(shards[cid].labels, self.data.num_classes)
-        counts = np.stack([self.accumulated_counts[members].sum(axis=0) for members in partition.members])
-        return LabelHistogram(counts)
-
     def run_round(self) -> RoundMetrics:
-        cfg = self.cfg
-        r = self.round_index
+        """Play one round and commit its state; a failed round commits nothing.
+
+        Under `halt` the failure re-raises; under `skip` the round only
+        advances the round index and reports the committed global model.
+        Either way the failure is logged in `events`.
+        """
+        state = self.state
         started = time.perf_counter()
-        backup = (
-            self.global_params.copy(),
-            self.generator.param_vector(),
-            dict(self.client_feed),
-            self.accumulated_counts.copy(),
-        )
         try:
-            row = self._round_body(r)
+            row, self.state = self._round(state)
         except Exception as exc:
-            self.global_params, gen_params, self.client_feed, self.accumulated_counts = backup
-            self.generator.load_param_vector(gen_params)
-            self.events.append(Event(r, "round", f"round failed and was rolled back: {exc}"))
-            if cfg.failure_policy == "halt":
+            self.events.append(Event(state.round_index, "round", f"round failed and was not committed: {exc}"))
+            if self.cfg.failure_policy == "halt":
                 raise
             row = RoundMetrics(
-                round_index=r,
+                round_index=state.round_index,
                 cluster_count=1,
-                global_acc=_evaluate(self.template, self.global_params, self.data.test_features, self.data.test_labels),
+                global_acc=_evaluate(self.template, state.global_params, self.data.test_features, self.data.test_labels),
             )
-        self.round_index += 1
+            self.state = replace(state, round_index=state.round_index + 1)
         row.wall_ms = (time.perf_counter() - started) * 1000.0
         return row
 
-    def _round_body(self, r: int) -> RoundMetrics:
-        cfg, spec = self.cfg, self.spec
+    def _round(self, state: SimState) -> tuple[RoundMetrics, SimState]:
+        """The row of round `state.round_index` and the state after it; `state` is only read."""
+        cfg, spec, clients = self.cfg, self.spec, self.data.clients
+        r = state.round_index
         actives = sample_active_clients(cfg.clients, cfg.act, r, self.seed)
-        params_by_client, mean_local_loss = self._train_actives(actives, r)
-        shards = {s.client_id: s for s in self.data.clients}
-        weighted = lambda ids: [(params_by_client[cid], shards[cid].train.n) for cid in ids]
+        params_by_client, mean_local_loss = self._train_actives(state, actives)
+        weighted = lambda ids: [(params_by_client[cid], clients[cid].train.n) for cid in ids]
 
         loss_cd = loss_cf = loss_div = float("nan")
         if spec.clusters:
@@ -324,40 +337,50 @@ class Simulation:
         else:
             partition = singleton_partition([int(c) for c in actives])
         cluster_models = [intra_group_aggregate(weighted(members)) for members in partition.members]
-        cluster_sizes = [sum(shards[cid].train.n for cid in members) for members in partition.members]
+        cluster_sizes = [sum(clients[cid].train.n for cid in members) for members in partition.members]
         # one cluster passes through bit for bit, so an unclustered round is plain averaging
         new_global = global_average(list(zip(cluster_models, cluster_sizes)))
+        generator_params, counts = state.generator_params, state.accumulated_counts
         if spec.fuses:
-            hist = self._histogram(partition, r)
+            per_client = self.train_label_counts
+            if cfg.accumulate_histograms:
+                # add each active client's counts every fusing round it joins,
+                # then read the running totals through this round's clusters
+                counts = counts.copy()
+                counts[actives] += per_client[actives]
+                per_client = counts
+            hist = LabelHistogram(np.stack([per_client[members].sum(axis=0) for members in partition.members]))
             gls = uniform_gls(self.data.num_classes) if spec.uniform_gls else compute_gls(hist)
             gwf = uniform_gwf(partition.num_clusters, self.data.num_classes) if spec.uniform_gwf else compute_gwf(hist)
             dcfg = replace(cfg.distill, **{key: 0.0 for key in spec.zeroed})
             if dcfg.reinit_generator:
-                self.generator = self._fresh_generator(stream(self.seed, _TAG_GEN_INIT, r))
+                generator = self._fresh_generator(stream(self.seed, _TAG_GEN_INIT, r))
+            else:
+                generator = self._fresh_generator(None)
+                generator.load_param_vector(state.generator_params)
             teachers = [self.template.spawn(m) for m in cluster_models]
             student = self.template.spawn(new_global)
-            result = iga_round(teachers, student, self.generator, gls, gwf, dcfg, stream(self.seed, _TAG_IGA, r))
+            result = iga_round(teachers, student, generator, gls, gwf, dcfg, stream(self.seed, _TAG_IGA, r))
             if result.diverged:
                 self.events.append(Event(r, "distill", "fusion diverged; kept the plain global average"))
             else:
-                new_global = result.student.param_vector()
+                new_global, generator_params = student.param_vector(), generator.param_vector()
             loss_cd, loss_cf, loss_div = result.mean_losses()
 
-        # broadcast
+        client_feed = state.client_feed
         if spec.cluster_broadcast:
+            client_feed = dict(client_feed)
             for k, members in enumerate(partition.members):
-                for cid in members:
-                    self.client_feed[cid] = cluster_models[k]
-        self.global_params = new_global
+                client_feed.update(dict.fromkeys(members, cluster_models[k]))
 
         global_acc = _evaluate(self.template, new_global, self.data.test_features, self.data.test_labels)
         cluster_accs = []
         for k, members in enumerate(partition.members):
-            holdout_x = np.concatenate([shards[cid].holdout.features for cid in members])
-            holdout_y = np.concatenate([shards[cid].holdout.labels for cid in members])
+            holdout_x = np.concatenate([clients[cid].holdout.features for cid in members])
+            holdout_y = np.concatenate([clients[cid].holdout.labels for cid in members])
             cluster_accs.append(_evaluate(self.template, cluster_models[k], holdout_x, holdout_y))
 
-        return RoundMetrics(
+        row = RoundMetrics(
             round_index=r,
             cluster_count=partition.num_clusters,
             global_acc=global_acc,
@@ -367,6 +390,7 @@ class Simulation:
             loss_cf=loss_cf,
             loss_div=loss_div,
         )
+        return row, SimState(r + 1, new_global, generator_params, client_feed, counts)
 
     def run(self) -> list[RoundMetrics]:
         return [self.run_round() for _ in range(self.cfg.rounds)]

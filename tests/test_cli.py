@@ -118,6 +118,47 @@ def test_validation_names_the_offending_key():
         validate_config(SimConfig(failure_policy="retry"))
 
 
+# a value of the wrong JSON type, and the key its error must name
+WRONG_TYPES = [
+    ({"rounds": "5"}, "rounds"),
+    ({"seeds": 5}, "seeds"),
+    ({"seeds": [0, True]}, "seeds"),
+    ({"workers": True}, "workers"),
+    ({"act": True}, "act"),
+    ({"failure_policy": 1}, "failure_policy"),
+    ({"accumulate_histograms": 1}, "accumulate_histograms"),
+    ({"secure_seed": 1.5}, "secure_seed"),
+    ({"dataset": {"num_classes": 2.5}}, "dataset.num_classes"),
+    ({"distill": {"noise_dim": "8"}}, "distill.noise_dim"),
+    ({"distill": {"reinit_generator": "yes"}}, "distill.reinit_generator"),
+]
+
+
+@pytest.mark.parametrize("payload, key", WRONG_TYPES)
+def test_a_wrong_type_fails_at_parse_time_naming_its_key(payload, key):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        config_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload, key", WRONG_TYPES)
+def test_a_wrong_type_in_the_config_file_exits_2(payload, key, tmp_path, capsys):
+    code = main(["run", "--config", write_tiny(tmp_path, payload), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_types_are_checked_not_converted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"act": 1, "secure_seed": None, "distill": {"beta_cf": 0}}))
+    cfg = parse_config(str(path))
+    assert type(cfg.act) is int and type(cfg.distill.beta_cf) is int  # a float field takes an int as written
+    emit_config(cfg, tmp_path / "echo.json")
+    echoed = (tmp_path / "echo.json").read_text()
+    assert '"act": 1,' in echoed and '"beta_cf": 0,' in echoed
+
+
 # ---------------------------------------------------------------------------
 # metrics files
 

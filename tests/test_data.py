@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disue.clustering import singleton_partition
 from disue.data import (
     ClientDataset,
-    collect_label_histogram,
     dirichlet_partition,
     label_counts,
     make_synthetic_dataset,
     split_client_holdout,
     split_dataset,
 )
-from disue.errors import ConfigError, InvalidInputError, InvalidStateError
+from disue.errors import ConfigError, InvalidInputError
 
 
 def nearest_centroid_accuracy(ds) -> float:
@@ -132,23 +130,6 @@ def test_small_epsilon_halves_label_entropy():
         skewed.append(_mean_label_entropy(dirichlet_partition(ds, 20, 0.01, seed=seed), 4))
         iid.append(_mean_label_entropy(dirichlet_partition(ds, 20, 1e6, seed=seed), 4))
     assert np.mean(skewed) < 0.5 * np.mean(iid)
-
-
-def test_histogram_matches_brute_recount():
-    ds = make_synthetic_dataset(4, 100, 2, seed=2)
-    parts = dirichlet_partition(ds, 6, 0.1, seed=2)
-    partition = singleton_partition([p.client_id for p in parts])
-    hist = collect_label_histogram(partition, {p.client_id: p for p in parts}, 4)
-    assert hist.counts.shape == (1, 4)
-    assert np.array_equal(hist.counts[0], np.bincount(ds.labels, minlength=4))
-    assert hist.counts.sum() == ds.n
-
-
-def test_histogram_rejects_missing_client():
-    partition = singleton_partition([0, 1])
-    shard = ClientDataset(0, np.zeros((1, 2)), np.zeros(1, dtype=np.int64))
-    with pytest.raises(InvalidStateError):
-        collect_label_histogram(partition, {0: shard}, 4)
 
 
 # ---------------------------------------------------------------------------

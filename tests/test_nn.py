@@ -186,13 +186,6 @@ def test_no_grad_blocks_recording():
         nn.backward(nn.tsum(out))
 
 
-def test_detach_cuts_the_graph():
-    w = nn.Tensor(np.ones(2), requires_grad=True)
-    out = nn.tsum(nn.mul(nn.mul(w, 2.0).detach(), 1.0))
-    with pytest.raises(InvalidStateError):
-        nn.backward(out)
-
-
 # ---------------------------------------------------------------------------
 # gradients vs central finite differences
 

@@ -9,9 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disue
-from disue.config import DatasetConfig, SimConfig
+from disue import nn
+from disue.aggregation import compute_gls
+from disue.config import VARIANT_SPECS, VARIANTS, DatasetConfig, SimConfig
 from disue.data import ClientDataset
 from disue.distill import DistillConfig
 from disue.errors import InvalidInputError
@@ -204,15 +208,15 @@ def test_fedavg_and_skipped_fusion_share_a_trajectory():
 def test_cfl_only_keeps_inactive_clients_stale():
     cfg = tiny_cfg(variant="cfl_only", rounds=1)
     sim = Simulation(cfg, seed=4)
-    initial = {cid: vec.copy() for cid, vec in sim.client_feed.items()}
+    initial = {cid: vec.copy() for cid, vec in sim.state.client_feed.items()}
     sim.run_round()
-    changed = {cid for cid, vec in sim.client_feed.items() if not np.array_equal(vec, initial[cid])}
+    changed = {cid for cid, vec in sim.state.client_feed.items() if not np.array_equal(vec, initial[cid])}
     actives = set(int(c) for c in sample_active_clients(cfg.clients, cfg.act, 0, 4))
     assert changed <= actives
     assert changed  # someone actually trained
     stale = set(initial) - actives
     for cid in stale:
-        assert np.array_equal(sim.client_feed[cid], initial[cid])
+        assert np.array_equal(sim.state.client_feed[cid], initial[cid])
 
 
 def test_identical_clients_collapse_to_plain_averaging_bitwise():
@@ -244,9 +248,8 @@ def test_failure_policy_halt_raises_and_skip_degrades():
         distill=DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=1, gen_steps=1, student_steps=1, gen_hidden_dim=16, label_embed_dim=4),
     )
     halt = Simulation(SimConfig(variant="disue", failure_policy="halt", **shared), seed=0, data=data)
-    poisoned = halt.global_params.copy()
-    poisoned[:] = np.nan
-    halt.global_params = poisoned
+    poisoned = np.full_like(halt.global_params, np.nan)
+    halt.state = dataclasses.replace(halt.state, global_params=poisoned)
     # every client diverges and reports the nan broadcast back, so the
     # masking layer rejects the round
     with pytest.raises(InvalidInputError):
@@ -254,17 +257,17 @@ def test_failure_policy_halt_raises_and_skip_degrades():
     assert any(ev.stage == "round" for ev in halt.events)
 
     skip = Simulation(SimConfig(variant="disue", failure_policy="skip", **shared), seed=0, data=data)
-    skip.global_params = poisoned.copy()
+    skip.state = dataclasses.replace(skip.state, global_params=poisoned)
     row = skip.run_round()
     assert row.round_index == 0
-    assert skip.round_index == 1
+    assert skip.state.round_index == 1
     assert any(ev.stage == "round" for ev in skip.events)
 
 
 def test_rolled_back_round_restores_accumulated_counts(monkeypatch):
     sim = Simulation(tiny_cfg(variant="disue", accumulate_histograms=True, failure_policy="skip"), seed=0)
     sim.run_round()
-    before = sim.accumulated_counts.copy()
+    before = sim.state.accumulated_counts.copy()
     assert before.any()
 
     def failing_fusion(*args, **kwargs):
@@ -274,25 +277,38 @@ def test_rolled_back_round_restores_accumulated_counts(monkeypatch):
     # after the counts have moved
     monkeypatch.setattr("disue.orchestrator.iga_round", failing_fusion)
     sim.run_round()
-    assert any("rolled back" in ev.message for ev in sim.events)
-    assert np.array_equal(sim.accumulated_counts, before)
+    assert any("not committed" in ev.message for ev in sim.events)
+    assert np.array_equal(sim.state.accumulated_counts, before)
 
 
-def test_histogram_accumulation_flag():
-    cfg = tiny_cfg(accumulate_histograms=True)
-    sim = Simulation(cfg, seed=0)
-    from disue.clustering import singleton_partition
+def _record_histograms(monkeypatch) -> list:
+    """Collect the label histogram each fusing round passes to compute_gls."""
+    seen = []
 
-    part = singleton_partition([c.client_id for c in sim.data.clients])
-    h1 = sim._histogram(part, 0)
-    h2 = sim._histogram(part, 1)
-    assert np.array_equal(h2.counts, 2 * h1.counts)
+    def recording(hist):
+        seen.append(hist)
+        return compute_gls(hist)
 
-    plain = Simulation(tiny_cfg(), seed=0)
-    p1 = plain._histogram(part, 0)
-    p2 = plain._histogram(part, 1)
-    assert np.array_equal(p1.counts, p2.counts)
-    assert np.array_equal(p1.counts, h1.counts)
+    monkeypatch.setattr("disue.orchestrator.compute_gls", recording)
+    return seen
+
+
+def test_histogram_accumulation_flag(monkeypatch):
+    # every client is active every round, so accumulated totals double
+    accumulated = Simulation(tiny_cfg(accumulate_histograms=True, act=1.0, rounds=2), seed=0)
+    seen = _record_histograms(monkeypatch)
+    accumulated.run()
+    h1, h2 = seen
+    assert np.array_equal(h2.class_totals, 2 * h1.class_totals)
+    assert np.array_equal(accumulated.state.accumulated_counts, 2 * accumulated.train_label_counts)
+
+    seen.clear()
+    plain = Simulation(tiny_cfg(act=1.0, rounds=2), seed=0)
+    plain.run()
+    p1, p2 = seen
+    assert np.array_equal(p1.class_totals, p2.class_totals)
+    assert np.array_equal(p1.class_totals, h1.class_totals)
+    assert not plain.state.accumulated_counts.any()
 
 
 def test_generator_reinit_changes_the_path():
@@ -300,7 +316,7 @@ def test_generator_reinit_changes_the_path():
     fresh = Simulation(tiny_cfg(variant="disue", rounds=2, distill=DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_steps=2, student_steps=1, gen_hidden_dim=16, label_embed_dim=4, reinit_generator=True)), seed=6)
     persistent.run_round(), fresh.run_round()
     persistent.run_round(), fresh.run_round()
-    assert not np.array_equal(persistent.generator.param_vector(), fresh.generator.param_vector())
+    assert not np.array_equal(persistent.state.generator_params, fresh.state.generator_params)
 
 
 def test_run_experiment_covers_all_seeds():
@@ -310,3 +326,177 @@ def test_run_experiment_covers_all_seeds():
     assert sorted(result.rows_by_seed) == [0, 1]
     assert all(len(rows) == cfg.rounds for rows in result.rows_by_seed.values())
     assert rows_key(result.rows_by_seed[0]) != rows_key(result.rows_by_seed[1])
+
+
+def test_label_count_table_matches_brute_recount():
+    sim = Simulation(tiny_cfg(), seed=2)
+    table = sim.train_label_counts
+    assert table.shape == (sim.cfg.clients, sim.data.num_classes)
+    for shard in sim.data.clients:
+        assert np.array_equal(table[shard.client_id], np.bincount(shard.train.labels, minlength=sim.data.num_classes))
+    every_train_label = np.concatenate([shard.train.labels for shard in sim.data.clients])
+    assert np.array_equal(table.sum(axis=0), np.bincount(every_train_label, minlength=sim.data.num_classes))
+    assert table.sum() == every_train_label.size
+
+
+def test_injected_data_must_list_every_client_by_id():
+    cfg = tiny_cfg()
+    data = build_federated_data(cfg, seed=0)
+    with pytest.raises(InvalidInputError):
+        Simulation(cfg, 0, data=dataclasses.replace(data, clients=data.clients[:-1]))
+    with pytest.raises(InvalidInputError):
+        Simulation(dataclasses.replace(cfg, clients=cfg.clients + 1), 0, data=data)
+    swapped = [data.clients[1], data.clients[0], *data.clients[2:]]
+    with pytest.raises(InvalidInputError):
+        Simulation(cfg, 0, data=dataclasses.replace(data, clients=swapped))
+    Simulation(cfg, 0, data=data)
+
+
+# ---------------------------------------------------------------------------
+# a round commits all of its state or none of it
+
+
+def _copy_state(state):
+    return dataclasses.replace(
+        state,
+        global_params=state.global_params.copy(),
+        generator_params=state.generator_params.copy(),
+        client_feed={cid: vec.copy() for cid, vec in state.client_feed.items()},
+        accumulated_counts=state.accumulated_counts.copy(),
+    )
+
+
+def _assert_same_state(got, want):
+    assert got.round_index == want.round_index
+    assert np.array_equal(got.global_params, want.global_params)
+    assert np.array_equal(got.generator_params, want.generator_params)
+    assert got.client_feed.keys() == want.client_feed.keys()
+    for cid, vec in want.client_feed.items():
+        assert np.array_equal(got.client_feed[cid], vec)
+    assert np.array_equal(got.accumulated_counts, want.accumulated_counts)
+
+
+def _fail_once(original):
+    """`original`, except that its first call raises."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("injected failure")
+        return original(*args, **kwargs)
+
+    return wrapped
+
+
+# the orchestrator name each round stage calls, in round order
+_STAGES = ("local_train", "build_similarity_matrix", "intra_group_aggregate", "iga_round", "_evaluate")
+_FAILING_ROUNDS = [(v, stage) for v in ("disue", "cfl_only") for stage in _STAGES if VARIANT_SPECS[v].fuses or stage != "iga_round"]
+
+
+@pytest.mark.parametrize("policy", ["halt", "skip"])
+@pytest.mark.parametrize("variant, stage", _FAILING_ROUNDS)
+def test_a_failed_round_commits_nothing(variant, stage, policy, monkeypatch):
+    sim = Simulation(tiny_cfg(variant=variant, act=1.0, accumulate_histograms=True, failure_policy=policy), seed=0)
+    sim.run_round()
+    entry = sim.state
+    snapshot = _copy_state(entry)
+    monkeypatch.setattr(f"disue.orchestrator.{stage}", _fail_once(getattr(disue.orchestrator, stage)))
+    if policy == "halt":
+        with pytest.raises(RuntimeError, match="injected failure"):
+            sim.run_round()
+        assert sim.state is entry
+    else:
+        row = sim.run_round()
+        assert (row.round_index, row.cluster_count) == (1, 1)
+        _assert_same_state(sim.state, dataclasses.replace(snapshot, round_index=2))
+    _assert_same_state(entry, snapshot)
+    assert [(ev.round_index, ev.stage) for ev in sim.events if ev.stage == "round"] == [(1, "round")]
+    assert "not committed: injected failure" in sim.events[-1].message
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_round_writes_into_no_committed_array(variant):
+    sim = Simulation(tiny_cfg(variant=variant, act=1.0, accumulate_histograms=True), seed=1)
+    for _ in range(sim.cfg.rounds):
+        before = sim.state
+        want = _copy_state(before)
+        sim.run_round()
+        assert sim.state is not before
+        _assert_same_state(before, want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_active_client_gives_a_one_cluster_row(variant):
+    cfg = tiny_cfg(variant=variant, act=0.1)  # ceil(0.1 * 6) = 1
+    sim = Simulation(cfg, seed=3)
+    for row in sim.run():
+        (cid,) = sample_active_clients(cfg.clients, cfg.act, row.round_index, sim.seed).tolist()
+        assert row.cluster_count == 1 and len(row.cluster_accs) == 1
+        assert np.isnan(row.cluster_accs[0]) == (sim.data.clients[cid].holdout.n == 0)
+        assert np.isfinite([row.global_acc, row.loss_local]).all()
+        fusion_losses = [row.loss_cd, row.loss_cf, row.loss_div]
+        assert (np.isfinite(fusion_losses) if VARIANT_SPECS[variant].fuses else np.isnan(fusion_losses)).all()
+    assert sim.events == []
+
+
+@pytest.mark.parametrize("variant", ["disue", "fedavg", "cfl_only"])
+def test_no_holdout_leaves_only_the_cluster_accuracy_undefined(variant):
+    cfg = tiny_cfg(variant=variant, dataset=DatasetConfig(samples_per_class=30, holdout_fraction=0.0))
+    sim = Simulation(cfg, seed=0)
+    assert all(shard.holdout.n == 0 for shard in sim.data.clients)
+    for row in sim.run():
+        assert row.cluster_accs and np.isnan(row.cluster_accs).all()
+        assert np.isnan(row.cluster_acc_mean)
+        assert np.isfinite([row.global_acc, row.loss_local]).all()
+    assert all(ev.stage == "clustering" for ev in sim.events)  # nothing failed or diverged
+
+
+def test_diverged_fusion_commits_the_entry_generator_and_the_plain_average(monkeypatch):
+    cfg = tiny_cfg(variant="disue", rounds=2)
+    plain = Simulation(dataclasses.replace(cfg, variant="disue_minus_iga"), seed=0)
+    sim = Simulation(cfg, seed=0)
+    entry_generator = sim.state.generator_params.copy()
+    results = []
+
+    def recording_iga_round(*args):
+        results.append(disue.distill.iga_round(*args))
+        return results[-1]
+
+    monkeypatch.setattr("disue.orchestrator.iga_round", recording_iga_round)
+    monkeypatch.setattr("disue.distill.loss_cd", lambda *args: nn.Tensor(np.nan))
+    for r in range(cfg.rounds):
+        sim.run_round()
+        plain.run_round()
+        # the student step diverges only after the generator has stepped
+        assert results[r].diverged
+        assert sum(rec.phase == "gen" for rec in results[r].trace) == cfg.distill.gen_steps
+        assert np.array_equal(sim.state.generator_params, entry_generator)
+        assert np.array_equal(sim.global_params, plain.global_params)
+    assert [(ev.round_index, ev.stage) for ev in sim.events if ev.stage == "distill"] == [(0, "distill"), (1, "distill")]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    clients=st.integers(3, 8),
+    rounds=st.integers(2, 3),
+    variant=st.sampled_from(VARIANTS),
+    act=st.sampled_from([0.2, 0.5, 1.0]),
+    epsilon=st.sampled_from([0.05, 0.5, 5.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_small_runs_keep_the_round_invariants(clients, rounds, variant, act, epsilon, seed):
+    cfg = tiny_cfg(variant=variant, clients=clients, rounds=rounds, act=act, epsilon=epsilon, dataset=DatasetConfig(samples_per_class=12))
+    sim = Simulation(cfg, seed)
+    rows = sim.run()
+    for row in rows:
+        actives = sample_active_clients(clients, act, row.round_index, seed)
+        assert 1 <= row.cluster_count <= actives.size
+        computed = [row.global_acc, row.loss_local]
+        if VARIANT_SPECS[variant].fuses:
+            computed += [row.loss_cd, row.loss_cf, row.loss_div]
+        if any(sim.data.clients[cid].holdout.n for cid in actives.tolist()):
+            computed.append(row.cluster_acc_mean)
+        flagged = any(ev.round_index == row.round_index for ev in sim.events)
+        assert flagged or np.isfinite(computed).all()
+    assert sim.state.round_index == len(rows) == rounds
