@@ -10,7 +10,7 @@ from .aggregation import (
     sample_labels,
 )
 from .clustering import ClusterPartition, SimilarityMatrix, affinity_propagation, build_similarity_matrix
-from .config import VARIANTS, DatasetConfig, SimConfig, parse_config
+from .config import VARIANTS, DatasetConfig, DistillConfig, SimConfig, parse_config
 from .data import (
     ClientDataset,
     LabelHistogram,
@@ -18,7 +18,7 @@ from .data import (
     dirichlet_partition,
     make_synthetic_dataset,
 )
-from .distill import DistillConfig, PseudoBatch, iga_round, loss_cd, loss_cf, loss_div
+from .distill import PseudoBatch, iga_round, loss_cd, loss_cf, loss_div
 from .errors import (
     ConfigError,
     DisueError,

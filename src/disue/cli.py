@@ -8,7 +8,8 @@ Subcommands:
 
 Every command writes into --out-dir: the echoed effective config, one
 per-round CSV per (variant, seed), and a summary JSON with the mean and
-std over seeds of the final-window accuracy.
+std over seeds of the final-window accuracy. It then prints that summary
+as a table, best mean first.
 """
 from __future__ import annotations
 
@@ -126,14 +127,32 @@ def _prepare_out_dir(cfg: SimConfig) -> Path:
     return out
 
 
-def _emit(out: Path, cfg: SimConfig, per_label: dict[str, dict[int, list]]) -> None:
+def _emit(out: Path, cfg: SimConfig, per_label: dict[str, dict[int, list]]) -> dict:
     emit_config(cfg, out / "config.json")
     for label, by_seed in per_label.items():
         for seed, rows in by_seed.items():
             write_round_csv(out / f"{label}_seed{seed}.csv", rows)
-    write_summary(out / "summary.json", summarize(per_label))
+    summary = summarize(per_label)
+    write_summary(out / "summary.json", summary)
     if cfg.emit_plot_data:
         write_plot_data(out / "plot_data.csv", per_label)
+    return summary
+
+
+def _print_table(summary: dict) -> None:
+    """One row per run, best mean first: final accuracy per seed, then mean and std."""
+    entries = sorted(summary["variants"].items(), key=lambda kv: -kv[1]["final_acc_mean"])
+    first = entries[0][1]
+    seeds = first["seeds"]
+    header = ["run"] + [f"seed {s}" for s in seeds] + ["mean", "std"]
+    rows = [header]
+    for name, entry in entries:
+        accs = [entry["per_seed_final_acc"][str(s)] for s in seeds] + [entry["final_acc_mean"], entry["final_acc_std"]]
+        rows.append([name] + [f"{acc:.4f}" for acc in accs])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    print(f"final accuracy, mean of last {min(summary['window'], first['rounds'])} rounds:")
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -143,13 +162,14 @@ def main(argv: list[str] | None = None) -> int:
         for cfg in plan.values():
             validate_config(cfg)  # every run is checked before the first one starts
         out = _prepare_out_dir(echo)
-        _emit(out, echo, {label: run_experiment(cfg).rows_by_seed for label, cfg in plan.items()})
+        summary = _emit(out, echo, {label: run_experiment(cfg).rows_by_seed for label, cfg in plan.items()})
     except DisueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _print_table(summary)
     print(f"wrote {out}/summary.json")
     return 0
 

@@ -8,10 +8,11 @@ and availability messages:
     a(k,k) <- sum_{i' != k} max(0, r(i',k))
 
 Both message sets are damped at 0.5. Exemplars are the points with
-r(k,k) + a(k,k) > 0 once the exemplar set has been stable for 15
-consecutive sweeps (or after 200 sweeps). The preference (diagonal)
-defaults to the median off-diagonal similarity, and the number of
-clusters is whatever emerges; it is never chosen up front.
+r(k,k) + a(k,k) > 0. Message passing stops once the exemplar set, empty
+or not, has been stable for 15 consecutive sweeps, or after 200 sweeps;
+a stable empty set ends in the single-cluster fallback. The preference
+(diagonal) defaults to the median off-diagonal similarity, and the
+number of clusters is whatever emerges; it is never chosen up front.
 """
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ class ClusterPartition:
 
     members: list[list[int]]
     exemplars: list[int]  # client ids, one per cluster
-    assignments: dict[int, int]  # client id -> cluster index
     n_iterations: int = 0
     converged: bool = False
     fallback: bool = False
@@ -100,7 +100,6 @@ def affinity_propagation(
     exemplars = np.zeros(n, dtype=bool)
     stable = 0
     it = 0
-    converged = False
     for it in range(1, max_iter + 1):
         # responsibilities
         aps = a + s
@@ -123,17 +122,14 @@ def affinity_propagation(
         a = damping * a + (1.0 - damping) * a_new
 
         current = (r.diagonal() + a.diagonal()) > 0
-        if np.array_equal(current, exemplars):
-            stable += 1
-            if np.any(current) and stable >= stable_iter:
-                converged = True
-                break
-        else:
-            stable = 0
+        stable = stable + 1 if np.array_equal(current, exemplars) else 0
         exemplars = current
+        if stable >= stable_iter:
+            break
 
     exemplar_idx = np.flatnonzero(exemplars)
     fallback = exemplar_idx.size == 0
+    converged = stable >= stable_iter and not fallback
     if fallback:
         # no exemplar emerged; rescue with a single cluster led by the most
         # central client (highest total similarity), lower index on ties
@@ -145,11 +141,9 @@ def affinity_propagation(
     members: list[list[int]] = [[] for _ in range(exemplar_idx.size)]
     for i in range(n):
         members[labels[i]].append(sim.client_ids[i])
-    assignments = {sim.client_ids[i]: int(labels[i]) for i in range(n)}
     return ClusterPartition(
         members=members,
         exemplars=[sim.client_ids[int(e)] for e in exemplar_idx],
-        assignments=assignments,
         n_iterations=it,
         converged=converged,
         fallback=fallback,
@@ -164,6 +158,5 @@ def singleton_partition(client_ids: list[int]) -> ClusterPartition:
     return ClusterPartition(
         members=[ids],
         exemplars=[ids[0]],
-        assignments={cid: 0 for cid in ids},
         converged=True,
     )

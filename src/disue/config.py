@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .distill import DistillConfig
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -53,6 +52,31 @@ class DatasetConfig:
     radius: float = 1.0
     test_fraction: float = 0.2  # stratified IID split held out for the global metric
     holdout_fraction: float = 0.2  # per-client share held out for cluster metrics
+
+
+@dataclass
+class DistillConfig:
+    """Knobs of the fusion stage.
+
+    Defaults are calibrated for the bundled synthetic benchmark: generator
+    updates lead the student 5:2 per alternation so synthesized samples
+    become class-faithful before they can pull the student toward a
+    teacher's opinion in regions that teacher never saw.
+    """
+
+    beta_cf: float = 1.0  # weight of the class-fidelity term
+    beta_div: float = 1.0  # weight of the diversity term
+    noise_dim: int = 100
+    pseudo_batch: int = 50  # Q, samples synthesized per inner iteration
+    inner_iters: int = 10  # alternations per round
+    gen_steps: int = 5  # generator updates per alternation
+    student_steps: int = 2  # student updates per alternation
+    gen_lr: float = 0.05
+    student_lr: float = 0.05
+    label_embed_dim: int = 8
+    gen_hidden_dim: int = 64
+    reinit_generator: bool = False  # fresh generator every round instead of a persistent one
+    literal_minimax: bool = False  # use the flipped sign composition for the generator objective
 
 
 @dataclass
@@ -98,7 +122,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.batch_size >= 1, "batch_size", "must be >= 1")
     _require(cfg.local_lr >= 0.0, "local_lr", "must be >= 0")
     _require(cfg.weight_decay >= 0.0, "weight_decay", "must be >= 0")
-    _require(cfg.epsilon > 0.0, "epsilon", f"must be > 0")
+    _require(cfg.epsilon > 0.0, "epsilon", "must be > 0")
     _require(cfg.variant in VARIANTS, "variant", f"must be one of {', '.join(VARIANTS)}")
     _require(len(cfg.seeds) >= 1, "seeds", "must list at least one seed")
     _require(all(isinstance(s, int) and not isinstance(s, bool) for s in cfg.seeds), "seeds", "must be integers")
@@ -113,10 +137,13 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(ds.radius > 0, "dataset.radius", "must be > 0")
     _require(0.0 <= ds.test_fraction < 1.0, "dataset.test_fraction", "must be in [0, 1)")
     _require(0.0 <= ds.holdout_fraction < 1.0, "dataset.holdout_fraction", "must be in [0, 1)")
-    try:
-        cfg.distill.validate()
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    d = cfg.distill
+    for key in ("noise_dim", "pseudo_batch", "inner_iters", "gen_steps", "student_steps", "label_embed_dim", "gen_hidden_dim"):
+        _require(getattr(d, key) >= 1, f"distill.{key}", "must be >= 1")
+    for key in ("beta_cf", "beta_div"):
+        _require(getattr(d, key) >= 0, f"distill.{key}", "must be >= 0")
+    for key in ("gen_lr", "student_lr"):
+        _require(getattr(d, key) > 0, f"distill.{key}", "must be > 0")
     return cfg
 
 

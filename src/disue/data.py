@@ -21,7 +21,6 @@ class SyntheticDataset:
     features: np.ndarray  # [n, feature_dim] float64
     labels: np.ndarray  # [n] int64
     num_classes: int
-    class_means: np.ndarray  # [num_classes, feature_dim]
 
     @property
     def n(self) -> int:
@@ -46,14 +45,6 @@ class LabelHistogram:
     """Per-cluster class counts: counts[k, y] = samples of class y in cluster k."""
 
     counts: np.ndarray  # [K, num_classes] int64
-
-    @property
-    def num_clusters(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.counts.shape[1])
 
     @property
     def class_totals(self) -> np.ndarray:
@@ -108,7 +99,7 @@ def make_synthetic_dataset(
     )
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     order = rng.permutation(labels.shape[0])
-    return SyntheticDataset(features[order], labels[order], num_classes, means)
+    return SyntheticDataset(features[order], labels[order], num_classes)
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -187,7 +178,7 @@ def split_dataset(dataset: SyntheticDataset, fraction: float, seed) -> tuple[Syn
     kept_idx = np.sort(np.concatenate(kept))
     held_idx = np.sort(np.concatenate(held))
     pick = lambda sel: SyntheticDataset(
-        dataset.features[sel].copy(), dataset.labels[sel].copy(), dataset.num_classes, dataset.class_means
+        dataset.features[sel].copy(), dataset.labels[sel].copy(), dataset.num_classes
     )
     return pick(kept_idx), pick(held_idx)
 

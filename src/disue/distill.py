@@ -27,44 +27,9 @@ import numpy as np
 
 from . import nn
 from .aggregation import GlsDistribution, GwfWeights, sample_labels
+from .config import DistillConfig
 from .errors import DivergenceError, InvalidInputError
 from .nn import Classifier, Generator, Tensor
-
-
-@dataclass
-class DistillConfig:
-    """Knobs of the fusion stage.
-
-    Defaults are calibrated for the bundled synthetic benchmark: generator
-    updates lead the student 5:2 per alternation so synthesized samples
-    become class-faithful before they can pull the student toward a
-    teacher's opinion in regions that teacher never saw.
-    """
-
-    beta_cf: float = 1.0  # weight of the class-fidelity term
-    beta_div: float = 1.0  # weight of the diversity term
-    noise_dim: int = 100
-    pseudo_batch: int = 50  # Q, samples synthesized per inner iteration
-    inner_iters: int = 10  # alternations per round
-    gen_steps: int = 5  # generator updates per alternation
-    student_steps: int = 2  # student updates per alternation
-    gen_lr: float = 0.05
-    student_lr: float = 0.05
-    label_embed_dim: int = 8
-    gen_hidden_dim: int = 64
-    reinit_generator: bool = False  # fresh generator every round instead of a persistent one
-    literal_minimax: bool = False  # use the flipped sign composition for the generator objective
-
-    def validate(self) -> None:
-        for key in ("noise_dim", "pseudo_batch", "inner_iters", "gen_steps", "student_steps", "label_embed_dim", "gen_hidden_dim"):
-            if int(getattr(self, key)) < 1:
-                raise InvalidInputError(f"distill.{key} must be >= 1")
-        for key in ("beta_cf", "beta_div"):
-            if float(getattr(self, key)) < 0:
-                raise InvalidInputError(f"distill.{key} must be >= 0")
-        for key in ("gen_lr", "student_lr"):
-            if float(getattr(self, key)) <= 0:
-                raise InvalidInputError(f"distill.{key} must be > 0")
 
 
 @dataclass
@@ -242,7 +207,6 @@ def iga_round(
     both models are then left mid-update, and a caller that built them for
     this pass drops them.
     """
-    cfg.validate()
     if not teachers:
         raise InvalidInputError("iga_round needs at least one teacher")
     for t in teachers:

@@ -41,10 +41,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[np.ndarray], None] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -571,15 +567,11 @@ class Generator(Module):
         return tanh(self.layers[-1](h))
 
 
-def predict(model: Classifier, features: np.ndarray) -> np.ndarray:
-    """Argmax class predictions without recording a graph."""
-    with no_grad():
-        logits = model.forward(features)
-    return np.argmax(logits.data, axis=1)
-
-
 def accuracy(model: Classifier, features: np.ndarray, labels: np.ndarray) -> float:
+    """Share of argmax predictions equal to the labels, without recording a graph."""
     labels = np.asarray(labels)
     if labels.size == 0:
         return float("nan")
-    return float(np.mean(predict(model, features) == labels))
+    with no_grad():
+        logits = model.forward(features)
+    return float(np.mean(np.argmax(logits.data, axis=1) == labels))

@@ -18,11 +18,12 @@ cluster-broadcast variant sends each member its cluster's model instead
 of the global one.
 
 Everything a round changes lives in one frozen `SimState`: the round
-index, the global model, the generator, what each client last received
-and the running label totals. A round maps the committed state to the
-next one without writing into it, and `run_round` commits the new state
-only when the round succeeds; a failed round commits nothing. Events are
-an append-only log kept outside the state.
+index, the global model, the generator a later round reads, what each
+client last received and the running label totals. A round maps the
+committed state to the next one without writing into it, and
+`run_round` commits the new state only when the round succeeds; a
+failed round commits nothing. Events are an append-only log kept
+outside the state.
 
 Randomness is streamed per purpose: every consumer draws from a generator
 keyed by (master seed, purpose tag, round, client), so results do not
@@ -203,7 +204,9 @@ class SimState:
 
     round_index: int
     global_params: np.ndarray
-    generator_params: np.ndarray
+    # the persistent generator; None when no later round reads one, because
+    # the variant never fuses or every fusing round draws a fresh generator
+    generator_params: np.ndarray | None
     # what each client last received; filled only by cluster-broadcast variants
     client_feed: dict[int, np.ndarray]
     accumulated_counts: np.ndarray  # [clients, classes] label totals over fusing rounds joined
@@ -235,10 +238,11 @@ class Simulation:
             rng=stream(seed, _TAG_MODEL_INIT),
         )
         init_params = init_model.param_vector()
+        persistent = self.spec.fuses and not cfg.distill.reinit_generator
         self.state = SimState(
             round_index=0,
             global_params=init_params,
-            generator_params=self._fresh_generator(stream(seed, _TAG_GEN_INIT)).param_vector(),
+            generator_params=self._fresh_generator(stream(seed, _TAG_GEN_INIT)).param_vector() if persistent else None,
             # a cluster-broadcast variant never broadcasts globally after round 0,
             # so everyone starts from the initial model
             client_feed=dict.fromkeys(range(cfg.clients), init_params) if self.spec.cluster_broadcast else {},
@@ -353,18 +357,20 @@ class Simulation:
             gls = uniform_gls(self.data.num_classes) if spec.uniform_gls else compute_gls(hist)
             gwf = uniform_gwf(partition.num_clusters, self.data.num_classes) if spec.uniform_gwf else compute_gwf(hist)
             dcfg = replace(cfg.distill, **{key: 0.0 for key in spec.zeroed})
-            if dcfg.reinit_generator:
+            if generator_params is None:  # reinit_generator: a fresh one every fusing round
                 generator = self._fresh_generator(stream(self.seed, _TAG_GEN_INIT, r))
             else:
                 generator = self._fresh_generator(None)
-                generator.load_param_vector(state.generator_params)
+                generator.load_param_vector(generator_params)
             teachers = [self.template.spawn(m) for m in cluster_models]
             student = self.template.spawn(new_global)
             result = iga_round(teachers, student, generator, gls, gwf, dcfg, stream(self.seed, _TAG_IGA, r))
             if result.diverged:
                 self.events.append(Event(r, "distill", "fusion diverged; kept the plain global average"))
             else:
-                new_global, generator_params = student.param_vector(), generator.param_vector()
+                new_global = student.param_vector()
+                if generator_params is not None:
+                    generator_params = generator.param_vector()
             loss_cd, loss_cf, loss_div = result.mean_losses()
 
         client_feed = state.client_feed

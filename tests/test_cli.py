@@ -265,7 +265,7 @@ def test_compare_deduplicates_variants(tmp_path):
     assert sorted(summary["variants"]) == ["cfl_only", "fedavg"]
 
 
-def test_ablate_covers_the_family(tmp_path):
+def test_ablate_covers_the_family(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["ablate", "--config", write_tiny(tmp_path), "--rounds", "1", "--out-dir", str(out)])
     assert code == 0
@@ -273,6 +273,13 @@ def test_ablate_covers_the_family(tmp_path):
     assert sorted(summary["variants"]) == sorted(
         ["disue", "disue_minus_gls", "disue_minus_gwf", "disue_minus_iga", "disue_minus_lcf", "disue_minus_ldiv", "fedavg"]
     )
+    # the printed table: a title, a header, then one row per variant, best mean first
+    title, header, *table, wrote = capsys.readouterr().out.splitlines()
+    assert header.split() == ["run", "seed", "0", "mean", "std"]
+    assert sorted(row.split()[0] for row in table) == sorted(summary["variants"])
+    means = [float(row.split()[2]) for row in table]
+    assert means == sorted(means, reverse=True)
+    assert means == [round(summary["variants"][row.split()[0]]["final_acc_mean"], 4) for row in table]
 
 
 def test_sweep_labels_each_value(tmp_path):

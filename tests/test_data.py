@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from disue.data import (
     ClientDataset,
+    class_centers,
     dirichlet_partition,
     label_counts,
     make_synthetic_dataset,
@@ -17,8 +18,8 @@ from disue.data import (
 from disue.errors import ConfigError, InvalidInputError
 
 
-def nearest_centroid_accuracy(ds) -> float:
-    dists = np.linalg.norm(ds.features[:, None, :] - ds.class_means[None, :, :], axis=2)
+def nearest_centroid_accuracy(ds, means) -> float:
+    dists = np.linalg.norm(ds.features[:, None, :] - means[None, :, :], axis=2)
     return float(np.mean(np.argmin(dists, axis=1) == ds.labels))
 
 
@@ -40,23 +41,24 @@ def test_dataset_is_deterministic_per_seed():
 def test_default_overlap_keeps_linear_rule_between_70_and_90():
     # nearest true centroid is the best linear rule for equal spherical blobs
     ds = make_synthetic_dataset(4, 1000, 2, seed=0)
-    acc = nearest_centroid_accuracy(ds)
+    acc = nearest_centroid_accuracy(ds, class_centers(4, 2, radius=1.0))
     assert 0.70 <= acc <= 0.90
 
 
 def test_wide_separation_makes_nearest_centroid_strong():
     # centroid separation 4 std: adjacent-pair confusion is about 2 Phi(-2)
     ds = make_synthetic_dataset(4, 1000, 2, seed=1, class_std=0.25, radius=np.sqrt(2.0) / 2.0)
-    sep = np.linalg.norm(ds.class_means[0] - ds.class_means[1])
+    means = class_centers(4, 2, radius=np.sqrt(2.0) / 2.0)
+    sep = np.linalg.norm(means[0] - means[1])
     assert abs(sep - 4 * 0.25) < 1e-12
-    assert nearest_centroid_accuracy(ds) >= 0.95
+    assert nearest_centroid_accuracy(ds, means) >= 0.95
 
 
 def test_high_dim_uses_simplex_centers():
-    ds = make_synthetic_dataset(3, 10, 8, seed=0, radius=2.0)
-    norms = np.linalg.norm(ds.class_means, axis=1)
+    means = class_centers(3, 8, radius=2.0)
+    norms = np.linalg.norm(means, axis=1)
     assert np.allclose(norms, 2.0)
-    gaps = [np.linalg.norm(ds.class_means[i] - ds.class_means[j]) for i in range(3) for j in range(i + 1, 3)]
+    gaps = [np.linalg.norm(means[i] - means[j]) for i in range(3) for j in range(i + 1, 3)]
     assert np.allclose(gaps, gaps[0])
 
 

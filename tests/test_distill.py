@@ -9,6 +9,7 @@ import pytest
 
 from disue import nn
 from disue.aggregation import GlsDistribution, GwfWeights, intra_group_aggregate
+from disue.config import SimConfig, validate_config
 from disue.data import make_synthetic_dataset
 from disue.distill import (
     DistillConfig,
@@ -21,7 +22,7 @@ from disue.distill import (
     noise_distances,
     teacher_softmax,
 )
-from disue.errors import InvalidInputError
+from disue.errors import ConfigError, InvalidInputError
 from disue.nn import Classifier, Generator, Tensor, backward, cross_entropy
 
 
@@ -273,12 +274,12 @@ def test_trace_bookkeeping_and_mean_losses():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        DistillConfig(inner_iters=0).validate()
-    with pytest.raises(InvalidInputError):
-        DistillConfig(beta_cf=-0.1).validate()
-    with pytest.raises(InvalidInputError):
-        DistillConfig(student_lr=0.0).validate()
+    with pytest.raises(ConfigError, match="'distill.inner_iters'"):
+        validate_config(SimConfig(distill=DistillConfig(inner_iters=0)))
+    with pytest.raises(ConfigError, match="'distill.beta_cf'"):
+        validate_config(SimConfig(distill=DistillConfig(beta_cf=-0.1)))
+    with pytest.raises(ConfigError, match="'distill.student_lr'"):
+        validate_config(SimConfig(distill=DistillConfig(student_lr=0.0)))
     with pytest.raises(InvalidInputError):
         iga_round([], Classifier(2, 4), Generator(8, 4, 2), _uniform_gls(), _one_teacher_gwf(), DistillConfig(), np.random.default_rng(0))
 

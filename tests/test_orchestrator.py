@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,11 +313,13 @@ def test_histogram_accumulation_flag(monkeypatch):
 
 
 def test_generator_reinit_changes_the_path():
-    persistent = Simulation(tiny_cfg(variant="disue", rounds=2), seed=6)
-    fresh = Simulation(tiny_cfg(variant="disue", rounds=2, distill=DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_steps=2, student_steps=1, gen_hidden_dim=16, label_embed_dim=4, reinit_generator=True)), seed=6)
+    # act 1.0 gives K >= 2 in both rounds; with one teacher the student is already at the KL minimum
+    persistent = Simulation(tiny_cfg(variant="disue", rounds=2, act=1.0), seed=6)
+    fresh = Simulation(tiny_cfg(variant="disue", rounds=2, act=1.0, distill=DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_steps=2, student_steps=1, gen_hidden_dim=16, label_embed_dim=4, reinit_generator=True)), seed=6)
     persistent.run_round(), fresh.run_round()
     persistent.run_round(), fresh.run_round()
-    assert not np.array_equal(persistent.state.generator_params, fresh.state.generator_params)
+    assert fresh.state.generator_params is None  # each fusing round drew its own
+    assert not np.array_equal(persistent.global_params, fresh.global_params)
 
 
 def test_run_experiment_covers_all_seeds():
@@ -360,7 +363,7 @@ def _copy_state(state):
     return dataclasses.replace(
         state,
         global_params=state.global_params.copy(),
-        generator_params=state.generator_params.copy(),
+        generator_params=None if state.generator_params is None else state.generator_params.copy(),
         client_feed={cid: vec.copy() for cid, vec in state.client_feed.items()},
         accumulated_counts=state.accumulated_counts.copy(),
     )
@@ -369,7 +372,10 @@ def _copy_state(state):
 def _assert_same_state(got, want):
     assert got.round_index == want.round_index
     assert np.array_equal(got.global_params, want.global_params)
-    assert np.array_equal(got.generator_params, want.generator_params)
+    if want.generator_params is None:
+        assert got.generator_params is None
+    else:
+        assert np.array_equal(got.generator_params, want.generator_params)
     assert got.client_feed.keys() == want.client_feed.keys()
     for cid, vec in want.client_feed.items():
         assert np.array_equal(got.client_feed[cid], vec)
@@ -424,6 +430,8 @@ def test_a_round_writes_into_no_committed_array(variant):
         sim.run_round()
         assert sim.state is not before
         _assert_same_state(before, want)
+    # a generator is kept only where a later round reads it
+    assert (sim.state.generator_params is None) == (not VARIANT_SPECS[variant].fuses)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -488,10 +496,24 @@ def test_diverged_fusion_commits_the_entry_generator_and_the_plain_average(monke
 def test_small_runs_keep_the_round_invariants(clients, rounds, variant, act, epsilon, seed):
     cfg = tiny_cfg(variant=variant, clients=clients, rounds=rounds, act=act, epsilon=epsilon, dataset=DatasetConfig(samples_per_class=12))
     sim = Simulation(cfg, seed)
-    rows = sim.run()
-    for row in rows:
+    partitions = []
+
+    def recording(name):
+        original = getattr(disue.orchestrator, name)
+
+        def wrapped(*args):
+            partitions.append(original(*args))
+            return partitions[-1]
+
+        return mock.patch(f"disue.orchestrator.{name}", wrapped)
+
+    with recording("affinity_propagation"), recording("singleton_partition"):
+        rows = sim.run()
+    assert len(partitions) == len(rows)  # one partition per round, clustered or not
+    for row, partition in zip(rows, partitions):
         actives = sample_active_clients(clients, act, row.round_index, seed)
         assert 1 <= row.cluster_count <= actives.size
+        assert sorted(cid for members in partition.members for cid in members) == actives.tolist()
         computed = [row.global_acc, row.loss_local]
         if VARIANT_SPECS[variant].fuses:
             computed += [row.loss_cd, row.loss_cf, row.loss_div]
