@@ -17,6 +17,21 @@ reach the teachers only through the synthesized samples.
 Within one alternation the noise and labels are fixed, so the noise
 distances for the div term and the teachers' softmax on the frozen
 student-phase samples are computed once per alternation, not per step.
+
+How a generator step is computed. The K teachers are stacked once per
+round into [K, in, out] weights (nn.stack), so one np.matmul per layer
+runs them all, and every network trunk is a single fused tape node
+(nn.mlp). The cd and cf terms read one teacher forward of the samples
+through two tape nodes, the forward and its nn.branch, each with its own
+backward. The fused nodes replay the numpy ops of the one-op-per-node
+chains they replace, so every output byte is unchanged; that also
+requires the unfused tape's order of contributions to the samples' gradient:
+cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}, then div, each added to the sum
+in turn. Summing the K teacher gradients at once, or the two branches
+before their backward, would change the bits. Against one tape node per
+op, this took the `fusion-20` benchmark workload (roundbench/) from 16.5
+to 22.5 rounds/s, a median round from 59.1 to 44.1 ms, in 10 alternating
+pairs on 2 vCPUs with numpy 2.4.6 and single-threaded OpenBLAS.
 """
 from __future__ import annotations
 
@@ -98,10 +113,14 @@ def _weighted_kl(teacher_probs: Sequence, student_probs, weights: np.ndarray, co
     return nn.mul(total, 1.0 / count)
 
 
-def teacher_softmax(teachers: Sequence[Classifier], samples: np.ndarray) -> list[np.ndarray]:
-    """Each frozen teacher's class probabilities on a constant batch."""
+def teacher_softmax(teachers: Sequence[Classifier] | Classifier, samples: np.ndarray) -> np.ndarray:
+    """[K, Q, classes]: each teacher's class probabilities on a constant batch.
+
+    `teachers` is a list of classifiers or their nn.stack.
+    """
+    stacked = teachers if isinstance(teachers, Classifier) else nn.stack(teachers)
     with nn.no_grad():
-        return [nn.softmax(t.forward(samples)).data for t in teachers]
+        return nn.softmax(stacked.forward(samples)).data
 
 
 def loss_cd(
@@ -129,19 +148,28 @@ def loss_cd(
     return _weighted_kl(teacher_probs, student_probs, weights, batch.size)
 
 
-def loss_cf(teachers: Sequence[Classifier], batch: PseudoBatch, gwf: GwfWeights) -> Tensor:
+def loss_cf(
+    teachers: Sequence[Classifier],
+    batch: PseudoBatch,
+    gwf: GwfWeights,
+    teacher_logits: Tensor | None = None,
+) -> Tensor:
     """Class-fidelity loss: weighted teacher cross-entropy on the synthesized batch.
 
     Gradients flow into the generator through the samples; teacher
-    parameters stay frozen.
+    parameters stay frozen. `teacher_logits`, when given, must be the
+    stacked teachers' forward on batch.samples, [K, Q, classes] and live
+    through the samples; the generator step passes a branch of the forward
+    it shares with the cd term.
     """
     if len(teachers) != gwf.num_clusters:
         raise InvalidInputError("one weight row per teacher required")
+    if teacher_logits is None:
+        teacher_logits = nn.stack(teachers).forward(batch.samples)
     weights = _teacher_sample_weights(gwf, batch.labels)
     total = None
-    for k, teacher in enumerate(teachers):
-        picked = nn.take_per_row(nn.log_softmax(teacher.forward(batch.samples)), batch.labels)
-        contrib = nn.tsum(nn.mul(picked, weights[k]))
+    for k, logits in enumerate(nn.unstack(teacher_logits)):
+        contrib = nn.log_likelihood(logits, batch.labels, weights[k])
         total = contrib if total is None else nn.add(total, contrib)
     return nn.mul(total, -1.0 / batch.size)
 
@@ -169,6 +197,7 @@ def loss_div(batch: PseudoBatch, zdist: np.ndarray | None = None) -> Tensor:
 
 def _generator_objective(
     teachers: Sequence[Classifier],
+    stacked: Classifier,
     student: Classifier,
     batch: PseudoBatch,
     gwf: GwfWeights,
@@ -179,9 +208,11 @@ def _generator_objective(
     weights = _teacher_sample_weights(gwf, batch.labels)
     with nn.no_grad():
         student_probs = nn.softmax(student.forward(batch.samples.data)).data  # constant for the generator
-    teacher_probs = [nn.softmax(t.forward(batch.samples)) for t in teachers]  # live through the samples
-    cd = _weighted_kl(teacher_probs, student_probs, weights, batch.size)
-    cf = loss_cf(teachers, batch, gwf)
+    # one teacher forward, live through the samples, read by two branches:
+    # merging their backwards would change the order of the sums
+    logits = stacked.forward(batch.samples)
+    cd = _weighted_kl(nn.unstack(nn.softmax(logits)), student_probs, weights, batch.size)
+    cf = loss_cf(teachers, batch, gwf, nn.branch(logits))
     div = loss_div(batch, zdist)
     if cfg.literal_minimax:
         # the flipped composition: generator descends all three terms together
@@ -209,8 +240,7 @@ def iga_round(
     """
     if not teachers:
         raise InvalidInputError("iga_round needs at least one teacher")
-    for t in teachers:
-        t.freeze()
+    stacked = nn.stack(teachers)
     trace: list[IgaRecord] = []
     try:
         for inner in range(cfg.inner_iters):
@@ -218,7 +248,7 @@ def iga_round(
             zdist = noise_distances(noise)
             for _ in range(cfg.gen_steps):
                 batch = PseudoBatch(noise, labels, generator.forward(noise, labels))
-                objective, cd_val, cf_val, div_val = _generator_objective(teachers, student, batch, gwf, cfg, zdist)
+                objective, cd_val, cf_val, div_val = _generator_objective(teachers, stacked, student, batch, gwf, cfg, zdist)
                 if not np.isfinite(objective.item()):
                     raise DivergenceError("non-finite generator objective")
                 nn.backward(objective)
@@ -227,7 +257,7 @@ def iga_round(
             with nn.no_grad():
                 frozen_samples = generator.forward(noise, labels)
             fixed = PseudoBatch(noise, labels, frozen_samples)
-            fixed_probs = teacher_softmax(teachers, frozen_samples.data)
+            fixed_probs = teacher_softmax(stacked, frozen_samples.data)
             for _ in range(cfg.student_steps):
                 cd = loss_cd(teachers, student, fixed, gwf, fixed_probs)
                 if not np.isfinite(cd.item()):

@@ -4,6 +4,15 @@ Just enough machinery for dense classifiers, a conditional generator and
 their losses: no broadcasting zoo, no views, no batchnorm. Every value in
 the graph is float64 and every op is deterministic, so identical seeds
 reproduce identical parameters bit for bit.
+
+The hot chains are single fused nodes: a network trunk (`mlp`), KL rows
+(`kl_rows`) and the label log-likelihood (`cross_entropy`,
+`log_likelihood`). Each backward replays the numpy ops of the
+one-op-per-node chain it replaces, in its order, so values and gradients
+match that chain bit for bit; tests/helpers.py keeps the chain as the
+oracle. Where the chain would store a computed value as a fresh gradient,
+the kernel adds 0.0 as `_accumulate` does, which turns -0.0 into 0.0.
+A stored gradient holds no -0.0, so the chain's copies of one are skipped.
 """
 from __future__ import annotations
 
@@ -114,6 +123,17 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def branch(t: Tensor) -> Tensor:
+    """A second node with t's value and backward, for a second consumer of t.
+
+    Each branch gets its own gradient and runs the backward on it, so t's
+    inputs receive one contribution per branch, in backward order, as if t
+    had been computed twice. Every backward here reads only its argument,
+    never its own node, which is what makes the sharing sound.
+    """
+    return _node(t.data, t._parents, t._bwd)
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad for every node reachable from a scalar loss.
 
@@ -150,18 +170,6 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.needs_grad():
-            _accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), bwd)
-
-
 def neg(a) -> Tensor:
     a = as_tensor(a)
 
@@ -184,46 +192,6 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise InvalidInputError("matmul supports 2-d operands only")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise InvalidInputError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, g @ b.data.T)
-        if b.needs_grad():
-            _accumulate(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), bwd)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, g * mask)
-
-    # np.maximum, not np.where: a nan input must poison the output, not
-    # silently turn into 0 and hide a diverged model
-    return _node(np.maximum(a.data, 0.0), (a,), bwd)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), bwd)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -233,28 +201,6 @@ def exp(a) -> Tensor:
             _accumulate(a, g * out_data)
 
     return _node(out_data, (a,), bwd)
-
-
-def log(a) -> Tensor:
-    # callers clamp first; log of a nonpositive value is a caller bug
-    a = as_tensor(a)
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), bwd)
-
-
-def clamp_min(a, low: float) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > low
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, g * mask)
-
-    return _node(np.maximum(a.data, low), (a,), bwd)
 
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -270,6 +216,25 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _node(out_data, (a,), bwd)
+
+
+def unstack(t) -> list[Tensor]:
+    """The slices t[0], t[1], ... along the first axis, one node each.
+
+    Their gradients fill the matching slices of t's gradient, so t's own
+    backward runs once for all of them.
+    """
+    t = as_tensor(t)
+
+    def piece(k: int) -> Tensor:
+        def bwd(g):
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[k] += g
+
+        return _node(t.data[k], (t,), bwd)
+
+    return [piece(k) for k in range(t.data.shape[0])]
 
 
 def concat(a, b, axis: int = 1) -> Tensor:
@@ -303,25 +268,54 @@ def embedding_rows(table, index) -> Tensor:
     return _node(table.data[index], (table,), bwd)
 
 
-def take_per_row(a, index) -> Tensor:
-    """out[i] = a[i, index[i]] for a 2-d tensor."""
-    a = as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
-    n, c = a.data.shape
-    if index.shape != (n,):
-        raise InvalidInputError("take_per_row needs one index per row")
-    if index.size and (index.min() < 0 or index.max() >= c):
-        raise InvalidInputError(f"column index out of range [0, {c})")
-    rows = np.arange(n)
+def mlp(x, layers: Sequence["Dense"], tanh: bool = False) -> Tensor:
+    """A dense trunk as one node: relu(h @ w + b) per hidden layer, then h @ w + b.
+
+    With `tanh` the output passes through tanh. Layers with [K, in, out]
+    weights and [K, 1, out] biases (see `stack`) map a [batch, in] input to
+    [K, batch, out] with one np.matmul per layer. The backward replays the
+    numpy ops of the unfused matmul/add/relu/tanh chain in its order, so
+    values and gradients match it bit for bit, and it feeds only what that
+    chain would have fed: a frozen weight or a constant input gets nothing.
+    For a stack, the K gradients of the input are added in order k = 0..K-1.
+    """
+    x = as_tensor(x)
+    hs = [x.data]  # each layer's input
+    for layer in layers[:-1]:
+        # np.maximum, not np.where: a nan input must poison the output, not
+        # silently turn into 0 and hide a diverged model
+        hs.append(np.maximum(hs[-1] @ layer.w.data + layer.b.data, 0.0))
+    out = hs[-1] @ layers[-1].w.data + layers[-1].b.data
+    if tanh:
+        out = np.tanh(out)
 
     def bwd(g):
-        if a.needs_grad():
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            # one (row, index) pair per row, so plain fancy-index add is exact
-            a.grad[rows, index] += g
+        # a layer's input takes a gradient when x or an earlier parameter does
+        feeds, live = [], x.needs_grad()
+        for layer in layers:
+            feeds.append(live)
+            live = live or layer.w.requires_grad or layer.b.requires_grad
+        if tanh:
+            g = np.add(g * (1.0 - out * out), 0.0)
+        for i in range(len(layers) - 1, -1, -1):
+            w, b = layers[i].w, layers[i].b
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(g, b.data.shape))
+            if w.requires_grad:
+                _accumulate(w, np.swapaxes(hs[i], -1, -2) @ g)
+            if not feeds[i]:
+                return
+            g_in = g @ np.swapaxes(w.data, -1, -2)
+            if i:
+                g = np.add(g_in * (hs[i] > 0), 0.0)
+            elif g_in.ndim > x.data.ndim:
+                for part in g_in:
+                    _accumulate(x, part)
+            else:
+                _accumulate(x, g_in)
 
-    return _node(a.data[rows, index], (a,), bwd)
+    params = tuple(t for layer in layers for t in (layer.w, layer.b))
+    return _node(out, (x, *params), bwd)
 
 
 def softmax(logits, axis: int = -1) -> Tensor:
@@ -337,21 +331,6 @@ def softmax(logits, axis: int = -1) -> Tensor:
         if t.needs_grad():
             dot = (g * out_data).sum(axis=axis, keepdims=True)
             _accumulate(t, out_data * (g - dot))
-
-    return _node(out_data, (t,), bwd)
-
-
-def log_softmax(logits, axis: int = -1) -> Tensor:
-    t = as_tensor(logits)
-    if not np.all(np.isfinite(t.data)):
-        raise DivergenceError("non-finite logits in log_softmax")
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    probs = np.exp(out_data)
-
-    def bwd(g):
-        if t.needs_grad():
-            _accumulate(t, g - probs * g.sum(axis=axis, keepdims=True))
 
     return _node(out_data, (t,), bwd)
 
@@ -388,7 +367,24 @@ def kl_rows(p, q) -> Tensor:
     constant.
     """
     p, q = as_tensor(p), as_tensor(q)
-    return tsum(mul(p, sub(log(clamp_min(p, _PROB_FLOOR)), log(clamp_min(q, _PROB_FLOOR)))), axis=-1)
+    if p.data.shape != q.data.shape:
+        raise InvalidInputError(f"kl_rows shape mismatch: {p.data.shape} vs {q.data.shape}")
+    p_floor = np.maximum(p.data, _PROB_FLOOR)
+    q_floor = np.maximum(q.data, _PROB_FLOOR)
+    log_ratio = np.log(p_floor) - np.log(q_floor)
+
+    def bwd(g):
+        # the clamp/log/sub/mul/sum chain's backward, op for op
+        g = np.broadcast_to(np.expand_dims(g, -1), log_ratio.shape)
+        if p.needs_grad():
+            _accumulate(p, g * log_ratio)
+        g_ratio = np.add(g * p.data, 0.0)
+        if p.needs_grad():
+            _accumulate(p, np.add(g_ratio / p_floor, 0.0) * (p.data > _PROB_FLOOR))
+        if q.needs_grad():
+            _accumulate(q, np.add(np.add(-g_ratio, 0.0) / q_floor, 0.0) * (q.data > _PROB_FLOOR))
+
+    return _node((p.data * log_ratio).sum(axis=-1), (p, q), bwd)
 
 
 def kl_divergence(p, q) -> Tensor:
@@ -400,14 +396,55 @@ def kl_divergence(p, q) -> Tensor:
     return mul(tsum(kl_rows(p, q)), 1.0 / rows)
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits)."""
-    logits = as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64)
+def _label_log_probs(logits: Tensor, labels) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """log softmax(logits)[i, labels[i]] per row, and the backward from a gradient on those values.
+
+    The backward replays the unfused log_softmax/take_per_row chain.
+    """
     if logits.data.ndim != 2:
-        raise InvalidInputError("cross_entropy expects [batch, classes] logits")
-    picked = take_per_row(log_softmax(logits, axis=-1), labels)
-    return mul(tsum(picked), -1.0 / labels.shape[0])
+        raise InvalidInputError("expected [batch, classes] logits")
+    if not np.all(np.isfinite(logits.data)):
+        raise DivergenceError("non-finite logits in log_softmax")
+    labels = np.asarray(labels, dtype=np.int64)
+    n, c = logits.data.shape
+    if labels.shape != (n,):
+        raise InvalidInputError("one label per row required")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise InvalidInputError(f"label out of range [0, {c})")
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(n)
+
+    def bwd(g_picked):
+        g = np.zeros_like(log_probs)
+        g[rows, labels] += g_picked
+        _accumulate(logits, g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True))
+
+    return log_probs[rows, labels], bwd
+
+
+def cross_entropy(logits, labels) -> Tensor:
+    """Mean negative log-likelihood of integer labels under softmax(logits), one node."""
+    logits = as_tensor(logits)
+    picked, picked_bwd = _label_log_probs(logits, labels)
+    scale = np.asarray(-1.0 / picked.shape[0])
+
+    def bwd(g):
+        picked_bwd(np.broadcast_to(np.add(g * scale, 0.0), picked.shape))
+
+    return _node(picked.sum() * scale, (logits,), bwd)
+
+
+def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
+    """sum_i weights[i] * log softmax(logits)[i, labels[i]] over [batch, classes] logits, one node."""
+    logits = as_tensor(logits)
+    picked, picked_bwd = _label_log_probs(logits, labels)
+    weights = np.asarray(weights, dtype=np.float64)
+
+    def bwd(g):
+        picked_bwd(np.add(np.broadcast_to(g, picked.shape) * weights, 0.0))
+
+    return _node((picked * weights).sum(), (logits,), bwd)
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> np.ndarray:
@@ -470,9 +507,6 @@ class Dense:
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
-
 
 class Classifier(Module):
     """Dense ReLU network emitting raw logits.
@@ -509,9 +543,7 @@ class Classifier(Module):
         h = as_tensor(batch)
         if h.data.ndim != 2 or h.data.shape[1] != self.in_dim:
             raise InvalidInputError(f"expected a [batch, {self.in_dim}] input, got shape {h.data.shape}")
-        for layer in self.layers[:-1]:
-            h = relu(layer(h))
-        return self.layers[-1](h)
+        return mlp(h, self.layers)
 
     def spawn(self, vec: np.ndarray | None = None) -> "Classifier":
         """A same-shape classifier, optionally loaded from a flat vector."""
@@ -519,6 +551,20 @@ class Classifier(Module):
         if vec is not None:
             twin.load_param_vector(vec)
         return twin
+
+
+def stack(models: Sequence[Classifier]) -> Classifier:
+    """Same-shape classifiers as one frozen classifier, for forward passes only.
+
+    Its weights are [K, in, out] and its biases [K, 1, out], so `forward`
+    maps a [batch, in] input to [K, batch, classes] logits. Slice k equals
+    models[k].forward bit for bit.
+    """
+    stacked = models[0].spawn()
+    for i, layer in enumerate(stacked.layers):
+        layer.w = Tensor(np.stack([m.layers[i].w.data for m in models]))
+        layer.b = Tensor(np.stack([m.layers[i].b.data for m in models])[:, None, :])
+    return stacked
 
 
 class Generator(Module):
@@ -561,10 +607,7 @@ class Generator(Module):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (z.data.shape[0],):
             raise InvalidInputError("one label per noise row required")
-        h = concat(z, embedding_rows(self.embed, labels), axis=1)
-        for layer in self.layers[:-1]:
-            h = relu(layer(h))
-        return tanh(self.layers[-1](h))
+        return mlp(concat(z, embedding_rows(self.embed, labels), axis=1), self.layers, tanh=True)
 
 
 def accuracy(model: Classifier, features: np.ndarray, labels: np.ndarray) -> float:

@@ -94,3 +94,126 @@ def well_separated_classifier(rng: np.random.Generator, in_dim: int, hidden: tup
         if ok:
             return model, x
     raise AssertionError("could not build a kink-free test model")
+
+
+# ---------------------------------------------------------------------------
+# unfused tape primitives: the engine computes these chains as fused nodes,
+# and the fused nodes must match them bit for bit
+
+
+def sub(a, b) -> nn.Tensor:
+    a, b = nn.as_tensor(a), nn.as_tensor(b)
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, nn._unbroadcast(g, a.data.shape))
+        if b.needs_grad():
+            nn._accumulate(b, -nn._unbroadcast(g, b.data.shape))
+
+    return nn._node(a.data - b.data, (a, b), bwd)
+
+
+def matmul(a, b) -> nn.Tensor:
+    a, b = nn.as_tensor(a), nn.as_tensor(b)
+    assert a.data.ndim == 2 and b.data.ndim == 2 and a.data.shape[1] == b.data.shape[0]
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, g @ b.data.T)
+        if b.needs_grad():
+            nn._accumulate(b, a.data.T @ g)
+
+    return nn._node(a.data @ b.data, (a, b), bwd)
+
+
+def relu(a) -> nn.Tensor:
+    a = nn.as_tensor(a)
+    mask = a.data > 0
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, g * mask)
+
+    return nn._node(np.maximum(a.data, 0.0), (a,), bwd)
+
+
+def tanh(a) -> nn.Tensor:
+    a = nn.as_tensor(a)
+    out_data = np.tanh(a.data)
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, g * (1.0 - out_data * out_data))
+
+    return nn._node(out_data, (a,), bwd)
+
+
+def log(a) -> nn.Tensor:
+    a = nn.as_tensor(a)
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, g / a.data)
+
+    return nn._node(np.log(a.data), (a,), bwd)
+
+
+def clamp_min(a, low: float) -> nn.Tensor:
+    a = nn.as_tensor(a)
+    mask = a.data > low
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, g * mask)
+
+    return nn._node(np.maximum(a.data, low), (a,), bwd)
+
+
+def take_per_row(a, index) -> nn.Tensor:
+    """out[i] = a[i, index[i]] for a 2-d tensor."""
+    a = nn.as_tensor(a)
+    index = np.asarray(index, dtype=np.int64)
+    rows = np.arange(a.data.shape[0])
+
+    def bwd(g):
+        if a.needs_grad():
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[rows, index] += g
+
+    return nn._node(a.data[rows, index], (a,), bwd)
+
+
+def log_softmax(logits) -> nn.Tensor:
+    t = nn.as_tensor(logits)
+    shifted = t.data - t.data.max(axis=-1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    probs = np.exp(out_data)
+
+    def bwd(g):
+        if t.needs_grad():
+            nn._accumulate(t, g - probs * g.sum(axis=-1, keepdims=True))
+
+    return nn._node(out_data, (t,), bwd)
+
+
+def unfused_trunk(x, layers, tanh_out: bool = False) -> nn.Tensor:
+    """A Dense/relu chain with one node per matmul, bias add and activation."""
+    h = nn.as_tensor(x)
+    for layer in layers[:-1]:
+        h = relu(nn.add(matmul(h, layer.w), layer.b))
+    out = nn.add(matmul(h, layers[-1].w), layers[-1].b)
+    return tanh(out) if tanh_out else out
+
+
+def unfused_kl_rows(p, q) -> nn.Tensor:
+    p, q = nn.as_tensor(p), nn.as_tensor(q)
+    return nn.tsum(nn.mul(p, sub(log(clamp_min(p, 1e-12)), log(clamp_min(q, 1e-12)))), axis=-1)
+
+
+def unfused_cross_entropy(logits, labels) -> nn.Tensor:
+    return nn.mul(nn.tsum(take_per_row(log_softmax(logits), labels)), -1.0 / len(labels))
+
+
+def unfused_log_likelihood(logits, labels, weights) -> nn.Tensor:
+    return nn.tsum(nn.mul(take_per_row(log_softmax(logits), labels), weights))

@@ -22,7 +22,7 @@ from disue.distill import (
     noise_distances,
     teacher_softmax,
 )
-from disue.errors import ConfigError, InvalidInputError
+from disue.errors import ConfigError, DivergenceError, InvalidInputError
 from disue.nn import Classifier, Generator, Tensor, backward, cross_entropy
 
 
@@ -189,6 +189,24 @@ def test_student_step_direction_reduces_kl():
     student.step(0.05)
     after = loss_cd([teacher], student, batch, gwf)
     assert after.item() < before.item()
+
+
+def test_a_nan_teacher_weight_diverges_the_generator_phase():
+    teacher, student, gen = _small_models()
+    poisoned = Classifier(2, 4, hidden=(16, 16), rng=np.random.default_rng(98))
+    poisoned.layers[1].w.data[3, 5] = np.nan
+    gwf = GwfWeights(alpha=np.full((2, 4), 0.5))
+    cfg = DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_hidden_dim=16)
+    gen_before, student_before = gen.param_vector(), student.param_vector()
+    res = iga_round([teacher, poisoned], student, gen, _uniform_gls(), gwf, cfg, np.random.default_rng(0))
+    assert res.diverged
+    assert res.trace == []  # the first generator objective raised: no gen record
+    assert np.array_equal(gen.param_vector(), gen_before)
+    assert np.array_equal(student.param_vector(), student_before)
+    # the stacked teacher forward keeps softmax's non-finite check
+    samples = Tensor(np.random.default_rng(1).normal(size=(4, 2)), requires_grad=True)
+    with pytest.raises(DivergenceError, match="non-finite logits in softmax"):
+        nn.softmax(nn.stack([teacher, poisoned]).forward(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,28 @@ def test_diverged_fusion_commits_the_entry_generator_and_the_plain_average(monke
     assert [(ev.round_index, ev.stage) for ev in sim.events if ev.stage == "distill"] == [(0, "distill"), (1, "distill")]
 
 
+def test_a_nan_model_diverges_fusion_in_the_generator_phase():
+    """A nan weight in the committed model reaches fusion unpatched.
+
+    The one active client diverges on it and reports it back, so the lone
+    teacher and the student both carry the nan, and the first generator
+    objective raises.
+    """
+    cfg = tiny_cfg(variant="disue", rounds=1, clients=4, act=0.25)
+    sims = [Simulation(cfg, seed=0), Simulation(dataclasses.replace(cfg, variant="disue_minus_iga"), seed=0)]
+    poisoned = sims[0].global_params.copy()
+    poisoned[5] = np.nan
+    for sim in sims:
+        sim.state = dataclasses.replace(sim.state, global_params=poisoned)
+    entry_generator = sims[0].state.generator_params.copy()
+    row, plain_row = (sim.run_round() for sim in sims)
+    assert [ev.stage for ev in sims[0].events] == ["local_train", "distill"]
+    assert np.isnan([row.loss_cd, row.loss_cf, row.loss_div]).all()
+    assert sims[0].global_params.tobytes() == sims[1].global_params.tobytes() == poisoned.tobytes()
+    assert np.array_equal(sims[0].state.generator_params, entry_generator)
+    assert row.global_acc == plain_row.global_acc
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     clients=st.integers(3, 8),
