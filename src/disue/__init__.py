@@ -27,7 +27,7 @@ from .errors import (
     InvalidStateError,
     PairingError,
 )
-from .nn import Classifier, Generator, Tensor, backward, cross_entropy, kl_divergence, sgd_step, softmax
+from .nn import Classifier, Generator, Tensor, backward, cross_entropy, kl_divergence, softmax
 from .orchestrator import Simulation, local_train, run_experiment, sample_active_clients
 from .secure import MaskedParams, SecParams, ssc_compute, ssc_encrypt
 

@@ -9,20 +9,23 @@ Subcommands:
 Every command writes into --out-dir: the echoed effective config, one
 per-round CSV per (variant, seed), and a summary JSON with the mean and
 std over seeds of the final-window accuracy. It then prints that summary
-as a table, best mean first.
+as a table, best mean first. Each (run, seed) whose rounds logged events,
+such as a diverged client or a failed round, gets one line on stderr
+with the count per stage.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 from .config import VARIANT_SPECS, VARIANTS, SimConfig, emit_config, parse_config, validate_config
 from .errors import ConfigError, DisueError
 from .metrics import summarize, write_plot_data, write_round_csv, write_summary
-from .orchestrator import run_experiment
+from .orchestrator import ExperimentResult, run_experiment
 
 # every variant that ends a round with one global model
 ABLATION_FAMILY = tuple(v for v, spec in VARIANT_SPECS.items() if not spec.cluster_broadcast)
@@ -155,6 +158,16 @@ def _print_table(summary: dict) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
+def _report_events(results: dict[str, ExperimentResult]) -> None:
+    """One stderr line per (run, seed) that logged events, counted by stage."""
+    for label, result in results.items():
+        for seed, events in result.events_by_seed.items():
+            if events:
+                stages = ", ".join(f"{stage} {n}" for stage, n in Counter(ev.stage for ev in events).items())
+                noun = "event" if len(events) == 1 else "events"
+                print(f"{label} seed {seed}: {len(events)} {noun} ({stages})", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -162,13 +175,15 @@ def main(argv: list[str] | None = None) -> int:
         for cfg in plan.values():
             validate_config(cfg)  # every run is checked before the first one starts
         out = _prepare_out_dir(echo)
-        summary = _emit(out, echo, {label: run_experiment(cfg).rows_by_seed for label, cfg in plan.items()})
+        results = {label: run_experiment(cfg) for label, cfg in plan.items()}
+        summary = _emit(out, echo, {label: result.rows_by_seed for label, result in results.items()})
     except DisueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _report_events(results)
     _print_table(summary)
     print(f"wrote {out}/summary.json")
     return 0

@@ -18,20 +18,21 @@ Within one alternation the noise and labels are fixed, so the noise
 distances for the div term and the teachers' softmax on the frozen
 student-phase samples are computed once per alternation, not per step.
 
-How a generator step is computed. The K teachers are stacked once per
-round into [K, in, out] weights (nn.stack), so one np.matmul per layer
-runs them all, and every network trunk is a single fused tape node
-(nn.mlp). The cd and cf terms read one teacher forward of the samples
-through two tape nodes, the forward and its nn.branch, each with its own
-backward. The fused nodes replay the numpy ops of the one-op-per-node
-chains they replace, so every output byte is unchanged; that also
-requires the unfused tape's order of contributions to the samples' gradient:
-cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}, then div, each added to the sum
-in turn. Summing the K teacher gradients at once, or the two branches
-before their backward, would change the bits. Against one tape node per
-op, this took the `fusion-20` benchmark workload (roundbench/) from 16.5
-to 22.5 rounds/s, a median round from 59.1 to 44.1 ms, in 10 alternating
-pairs on 2 vCPUs with numpy 2.4.6 and single-threaded OpenBLAS.
+How the teachers are computed. iga_round stacks the K teachers once per
+round into [K, in, out] weights (nn.stack), and from there on they are
+one value with a leading teacher axis: one np.matmul per layer runs them
+all, the teacher softmax is [K, Q, classes], and the cd and cf totals
+are one nn.weighted_kl and one nn.log_likelihood node each, weighted by
+[K, Q] per-sample teacher shares. In a generator step the cd and cf
+terms read one teacher forward of the samples through two tape nodes,
+the forward and its nn.branch, each with its own backward. The fused
+nodes replay the numpy ops of the one-op-per-node chains they replace,
+so every output byte is unchanged. That also fixes the order of every
+sum over teachers: each node adds the K per-teacher totals one at a
+time, and the samples' gradient gets cd_0 .. cd_{K-1}, then cf_0 ..
+cf_{K-1}, then div, each added in turn. Summing over the teacher axis
+at once, or the two branches before their backward, would change the
+bits.
 """
 from __future__ import annotations
 
@@ -100,78 +101,35 @@ def _teacher_sample_weights(gwf: GwfWeights, labels: np.ndarray) -> np.ndarray:
     return gwf.alpha[:, labels]
 
 
-def _weighted_kl(teacher_probs: Sequence, student_probs, weights: np.ndarray, count: int) -> Tensor:
-    """Mean over the batch of sum_k w[k,i] * KL(teacher_k_i || student_i).
-
-    Either side may be a live tensor or a constant; the caller decides the
-    stop-gradient placement by what it passes in.
-    """
-    total = None
-    for k, probs in enumerate(teacher_probs):
-        contrib = nn.tsum(nn.mul(nn.kl_rows(probs, student_probs), weights[k]))
-        total = contrib if total is None else nn.add(total, contrib)
-    return nn.mul(total, 1.0 / count)
-
-
-def teacher_softmax(teachers: Sequence[Classifier] | Classifier, samples: np.ndarray) -> np.ndarray:
-    """[K, Q, classes]: each teacher's class probabilities on a constant batch.
-
-    `teachers` is a list of classifiers or their nn.stack.
-    """
-    stacked = teachers if isinstance(teachers, Classifier) else nn.stack(teachers)
+def teacher_softmax(stacked: Classifier, samples: np.ndarray) -> np.ndarray:
+    """[K, Q, classes]: the stacked teachers' class probabilities on a constant batch."""
     with nn.no_grad():
         return nn.softmax(stacked.forward(samples)).data
 
 
-def loss_cd(
-    teachers: Sequence[Classifier],
-    student: Classifier,
-    batch: PseudoBatch,
-    gwf: GwfWeights,
-    teacher_probs: Sequence[np.ndarray] | None = None,
-) -> Tensor:
+def loss_cd(teacher_probs: np.ndarray, student: Classifier, batch: PseudoBatch, gwf: GwfWeights) -> Tensor:
     """Cluster-distillation loss, student side live, teacher side constant.
 
     For every sample, the KL from each teacher's softmax to the student's is
     weighted by that teacher's share of the sample's conditioning class.
-    `teacher_probs`, when given, must be teacher_softmax(teachers,
-    batch.samples.data); callers that reuse one batch pass it to skip the
-    teacher forwards.
+    `teacher_probs` is teacher_softmax of the stacked teachers on
+    batch.samples, [K, Q, classes].
     """
-    if len(teachers) != gwf.num_clusters:
-        raise InvalidInputError("one weight row per teacher required")
-    x = batch.samples.data  # constant for the student update
-    if teacher_probs is None:
-        teacher_probs = teacher_softmax(teachers, x)
-    student_probs = nn.softmax(student.forward(x))
+    student_probs = nn.softmax(student.forward(batch.samples.data))  # samples constant for the student update
     weights = _teacher_sample_weights(gwf, batch.labels)
-    return _weighted_kl(teacher_probs, student_probs, weights, batch.size)
+    return nn.mul(nn.weighted_kl(teacher_probs, student_probs, weights), 1.0 / batch.size)
 
 
-def loss_cf(
-    teachers: Sequence[Classifier],
-    batch: PseudoBatch,
-    gwf: GwfWeights,
-    teacher_logits: Tensor | None = None,
-) -> Tensor:
+def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tensor:
     """Class-fidelity loss: weighted teacher cross-entropy on the synthesized batch.
 
-    Gradients flow into the generator through the samples; teacher
-    parameters stay frozen. `teacher_logits`, when given, must be the
-    stacked teachers' forward on batch.samples, [K, Q, classes] and live
-    through the samples; the generator step passes a branch of the forward
-    it shares with the cd term.
+    `teacher_logits` is the stacked teachers' forward on batch.samples,
+    [K, Q, classes] and live through the samples, so gradients reach the
+    generator while teacher parameters stay frozen. The generator step
+    passes a branch of the forward it shares with the cd term.
     """
-    if len(teachers) != gwf.num_clusters:
-        raise InvalidInputError("one weight row per teacher required")
-    if teacher_logits is None:
-        teacher_logits = nn.stack(teachers).forward(batch.samples)
     weights = _teacher_sample_weights(gwf, batch.labels)
-    total = None
-    for k, logits in enumerate(nn.unstack(teacher_logits)):
-        contrib = nn.log_likelihood(logits, batch.labels, weights[k])
-        total = contrib if total is None else nn.add(total, contrib)
-    return nn.mul(total, -1.0 / batch.size)
+    return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, weights), -1.0 / batch.size)
 
 
 def noise_distances(noise: np.ndarray) -> np.ndarray:
@@ -196,7 +154,6 @@ def loss_div(batch: PseudoBatch, zdist: np.ndarray | None = None) -> Tensor:
 
 
 def _generator_objective(
-    teachers: Sequence[Classifier],
     stacked: Classifier,
     student: Classifier,
     batch: PseudoBatch,
@@ -211,8 +168,8 @@ def _generator_objective(
     # one teacher forward, live through the samples, read by two branches:
     # merging their backwards would change the order of the sums
     logits = stacked.forward(batch.samples)
-    cd = _weighted_kl(nn.unstack(nn.softmax(logits)), student_probs, weights, batch.size)
-    cf = loss_cf(teachers, batch, gwf, nn.branch(logits))
+    cd = nn.mul(nn.weighted_kl(nn.softmax(logits), student_probs, weights), 1.0 / batch.size)
+    cf = loss_cf(nn.branch(logits), batch, gwf)
     div = loss_div(batch, zdist)
     if cfg.literal_minimax:
         # the flipped composition: generator descends all three terms together
@@ -248,7 +205,7 @@ def iga_round(
             zdist = noise_distances(noise)
             for _ in range(cfg.gen_steps):
                 batch = PseudoBatch(noise, labels, generator.forward(noise, labels))
-                objective, cd_val, cf_val, div_val = _generator_objective(teachers, stacked, student, batch, gwf, cfg, zdist)
+                objective, cd_val, cf_val, div_val = _generator_objective(stacked, student, batch, gwf, cfg, zdist)
                 if not np.isfinite(objective.item()):
                     raise DivergenceError("non-finite generator objective")
                 nn.backward(objective)
@@ -259,7 +216,7 @@ def iga_round(
             fixed = PseudoBatch(noise, labels, frozen_samples)
             fixed_probs = teacher_softmax(stacked, frozen_samples.data)
             for _ in range(cfg.student_steps):
-                cd = loss_cd(teachers, student, fixed, gwf, fixed_probs)
+                cd = loss_cd(fixed_probs, student, fixed, gwf)
                 if not np.isfinite(cd.item()):
                     raise DivergenceError("non-finite distillation loss")
                 trace.append(IgaRecord("student", inner, cd.item()))

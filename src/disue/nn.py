@@ -5,14 +5,15 @@ their losses: no broadcasting zoo, no views, no batchnorm. Every value in
 the graph is float64 and every op is deterministic, so identical seeds
 reproduce identical parameters bit for bit.
 
-The hot chains are single fused nodes: a network trunk (`mlp`), KL rows
-(`kl_rows`) and the label log-likelihood (`cross_entropy`,
-`log_likelihood`). Each backward replays the numpy ops of the
-one-op-per-node chain it replaces, in its order, so values and gradients
-match that chain bit for bit; tests/helpers.py keeps the chain as the
-oracle. Where the chain would store a computed value as a fresh gradient,
-the kernel adds 0.0 as `_accumulate` does, which turns -0.0 into 0.0.
-A stored gradient holds no -0.0, so the chain's copies of one are skipped.
+The hot chains are single fused nodes: a network trunk (`mlp`), the
+weighted KL total of K teachers (`weighted_kl`) and the label
+log-likelihood (`cross_entropy`, and `log_likelihood` over K teachers).
+Each backward replays the numpy ops of the one-op-per-node chain it
+replaces, per teacher and in its order, so values and gradients match
+that chain bit for bit; tests/helpers.py keeps the chain as the oracle.
+Where the chain would store a computed value as a fresh gradient, the
+kernel adds 0.0 as `_accumulate` does, which turns -0.0 into 0.0. A
+stored gradient holds no -0.0, so the chain's copies of one are skipped.
 """
 from __future__ import annotations
 
@@ -218,25 +219,6 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _node(out_data, (a,), bwd)
 
 
-def unstack(t) -> list[Tensor]:
-    """The slices t[0], t[1], ... along the first axis, one node each.
-
-    Their gradients fill the matching slices of t's gradient, so t's own
-    backward runs once for all of them.
-    """
-    t = as_tensor(t)
-
-    def piece(k: int) -> Tensor:
-        def bwd(g):
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[k] += g
-
-        return _node(t.data[k], (t,), bwd)
-
-    return [piece(k) for k in range(t.data.shape[0])]
-
-
 def concat(a, b, axis: int = 1) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     split = a.data.shape[axis]
@@ -359,54 +341,79 @@ def pairwise_distances(x) -> Tensor:
 _PROB_FLOOR = 1e-12
 
 
-def kl_rows(p, q) -> Tensor:
-    """sum_c p_c * ln(p_c / q_c) along the last axis, one value per row.
+def _sum_per_teacher(terms: np.ndarray) -> float:
+    """Each teacher's terms summed, then the K sums added one at a time, k = 0..K-1.
 
+    This is the order of a chain of per-teacher add nodes. Summing over the
+    teacher axis at once would sum pairwise from K = 8 on and move bits.
+    """
+    total = terms[0].sum()
+    for t in terms[1:]:
+        total = total + t.sum()
+    return total
+
+
+def weighted_kl(p, q, weights) -> Tensor:
+    """sum_k sum_i weights[k, i] * KL(p[k, i] || q[i]), one node.
+
+    p holds K distributions per row of q along a leading teacher axis, or
+    has q's shape for K = 1; weights has p's shape without the class axis.
     Both sides are clamped below at 1e-12 before the log, so p entries
     equal to 0 contribute exactly 0. Either side may be a live tensor or a
-    constant.
+    constant. The K gradient contributions to q are added in order
+    k = 0..K-1.
     """
     p, q = as_tensor(p), as_tensor(q)
-    if p.data.shape != q.data.shape:
-        raise InvalidInputError(f"kl_rows shape mismatch: {p.data.shape} vs {q.data.shape}")
-    p_floor = np.maximum(p.data, _PROB_FLOOR)
+    weights = np.asarray(weights, dtype=np.float64)
+    # without a teacher axis, run the stacked code on a view with K = 1
+    stacked = p.data.ndim > q.data.ndim
+    pk = p.data if stacked else p.data[None]
+    wk = weights if stacked else weights[None]
+    if pk.shape[1:] != q.data.shape or wk.shape != pk.shape[:-1]:
+        raise InvalidInputError(
+            f"weighted_kl shape mismatch: p {p.data.shape}, q {q.data.shape}, weights {weights.shape}"
+        )
+    p_floor = np.maximum(pk, _PROB_FLOOR)
     q_floor = np.maximum(q.data, _PROB_FLOOR)
     log_ratio = np.log(p_floor) - np.log(q_floor)
 
     def bwd(g):
-        # the clamp/log/sub/mul/sum chain's backward, op for op
-        g = np.broadcast_to(np.expand_dims(g, -1), log_ratio.shape)
+        # per teacher, the backward of the clamp/log/sub/mul/sum chain and of
+        # its weighting mul and tsum, op for op
+        g = np.broadcast_to(np.expand_dims(np.add(g * wk, 0.0), -1), log_ratio.shape)
         if p.needs_grad():
-            _accumulate(p, g * log_ratio)
-        g_ratio = np.add(g * p.data, 0.0)
+            _accumulate(p, (g * log_ratio).reshape(p.data.shape))
+        g_ratio = np.add(g * pk, 0.0)
         if p.needs_grad():
-            _accumulate(p, np.add(g_ratio / p_floor, 0.0) * (p.data > _PROB_FLOOR))
+            _accumulate(p, (np.add(g_ratio / p_floor, 0.0) * (pk > _PROB_FLOOR)).reshape(p.data.shape))
         if q.needs_grad():
-            _accumulate(q, np.add(np.add(-g_ratio, 0.0) / q_floor, 0.0) * (q.data > _PROB_FLOOR))
+            for part in np.add(np.add(-g_ratio, 0.0) / q_floor, 0.0) * (q.data > _PROB_FLOOR):
+                _accumulate(q, part)
 
-    return _node((p.data * log_ratio).sum(axis=-1), (p, q), bwd)
+    return _node(_sum_per_teacher((pk * log_ratio).sum(axis=-1) * wk), (p, q), bwd)
 
 
 def kl_divergence(p, q) -> Tensor:
-    """Mean over rows of kl_rows(p, q); accepts a single distribution or a batch of rows."""
+    """Mean over rows of KL(p || q); accepts a single distribution or a batch of rows."""
     p, q = as_tensor(p), as_tensor(q)
     if p.data.shape != q.data.shape:
         raise InvalidInputError(f"kl_divergence shape mismatch: {p.data.shape} vs {q.data.shape}")
     rows = 1 if p.data.ndim == 1 else p.data.shape[0]
-    return mul(tsum(kl_rows(p, q)), 1.0 / rows)
+    return mul(weighted_kl(p, q, np.ones(p.data.shape[:-1])), 1.0 / rows)
 
 
-def _label_log_probs(logits: Tensor, labels) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """log softmax(logits)[i, labels[i]] per row, and the backward from a gradient on those values.
+def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """log softmax(logits)[..., i, labels[i]] per row, and the backward from a gradient on those values.
 
-    The backward replays the unfused log_softmax/take_per_row chain.
+    Stacked logits carry a leading teacher axis. The backward replays the
+    unfused log_softmax/take_per_row chain.
     """
-    if logits.data.ndim != 2:
-        raise InvalidInputError("expected [batch, classes] logits")
+    if logits.data.ndim != 2 + stacked:
+        raise InvalidInputError("expected [K, batch, classes] logits" if stacked else "expected [batch, classes] logits")
     if not np.all(np.isfinite(logits.data)):
         raise DivergenceError("non-finite logits in log_softmax")
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.data.shape
+    n, c = logits.data.shape[-2:]
     if labels.shape != (n,):
         raise InvalidInputError("one label per row required")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
@@ -417,16 +424,16 @@ def _label_log_probs(logits: Tensor, labels) -> tuple[np.ndarray, Callable[[np.n
 
     def bwd(g_picked):
         g = np.zeros_like(log_probs)
-        g[rows, labels] += g_picked
+        g[..., rows, labels] += g_picked
         _accumulate(logits, g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True))
 
-    return log_probs[rows, labels], bwd
+    return log_probs[..., rows, labels], bwd
 
 
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under softmax(logits), one node."""
     logits = as_tensor(logits)
-    picked, picked_bwd = _label_log_probs(logits, labels)
+    picked, picked_bwd = _label_log_probs(logits, labels, stacked=False)
     scale = np.asarray(-1.0 / picked.shape[0])
 
     def bwd(g):
@@ -436,25 +443,21 @@ def cross_entropy(logits, labels) -> Tensor:
 
 
 def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
-    """sum_i weights[i] * log softmax(logits)[i, labels[i]] over [batch, classes] logits, one node."""
+    """sum_k sum_i weights[k, i] * log softmax(logits[k])[i, labels[i]], one node.
+
+    logits are [K, batch, classes] and weights [K, batch]; the K
+    per-teacher totals are added in order k = 0..K-1.
+    """
     logits = as_tensor(logits)
-    picked, picked_bwd = _label_log_probs(logits, labels)
+    picked, picked_bwd = _label_log_probs(logits, labels, stacked=True)
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != picked.shape:
+        raise InvalidInputError(f"log_likelihood expects weights of shape {picked.shape}, got {weights.shape}")
 
     def bwd(g):
         picked_bwd(np.add(np.broadcast_to(g, picked.shape) * weights, 0.0))
 
-    return _node((picked * weights).sum(), (logits,), bwd)
-
-
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float = 0.0) -> np.ndarray:
-    """One SGD update with coupled weight decay: p <- p - lr * (g + weight_decay * p)."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != np.asarray(params).shape:
-        raise InvalidInputError("sgd_step shape mismatch between params and grads")
-    if not np.all(np.isfinite(grads)):
-        raise DivergenceError("non-finite gradient")
-    return params - lr * (grads + weight_decay * params)
+    return _node(_sum_per_teacher(picked * weights), (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +488,15 @@ class Module:
             offset += n
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
-        """Apply sgd_step to every parameter using its current gradient."""
+        """One SGD update with coupled weight decay: p <- p - lr * (g + weight_decay * p).
+
+        Every gradient is allocated with its parameter's shape, so only its
+        finiteness is checked.
+        """
         for p in self.parameters():
-            p.data = sgd_step(p.data, p.grad, lr, weight_decay)
+            if not np.all(np.isfinite(p.grad)):
+                raise DivergenceError("non-finite gradient")
+            p.data = p.data - lr * (p.grad + weight_decay * p.data)
 
     def freeze(self) -> "Module":
         for p in self.parameters():

@@ -217,3 +217,21 @@ def unfused_cross_entropy(logits, labels) -> nn.Tensor:
 
 def unfused_log_likelihood(logits, labels, weights) -> nn.Tensor:
     return nn.tsum(nn.mul(take_per_row(log_softmax(logits), labels), weights))
+
+
+def per_teacher_chain(terms) -> nn.Tensor:
+    """Per-teacher totals joined by one add node each, k = 0..K-1."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = nn.add(total, term)
+    return total
+
+
+def unfused_weighted_kl(ps, q, weights) -> nn.Tensor:
+    """sum_k tsum(weights[k] * KL rows(ps[k] || q)), one chain per teacher."""
+    return per_teacher_chain([nn.tsum(nn.mul(unfused_kl_rows(p, q), w)) for p, w in zip(ps, weights)])
+
+
+def unfused_stacked_log_likelihood(logits, labels, weights) -> nn.Tensor:
+    """The label log-likelihood of each teacher's logits, one chain per teacher."""
+    return per_teacher_chain([unfused_log_likelihood(z, labels, w) for z, w in zip(logits, weights)])

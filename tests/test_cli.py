@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from disue import cli
+from disue import cli, orchestrator
 from disue.cli import main
 from disue.config import (
     DatasetConfig,
@@ -280,6 +280,23 @@ def test_ablate_covers_the_family(tmp_path, capsys):
     means = [float(row.split()[2]) for row in table]
     assert means == sorted(means, reverse=True)
     assert means == [round(summary["variants"][row.split()[0]]["final_acc_mean"], 4) for row in table]
+
+
+def test_a_skipped_round_is_reported_on_stderr(tmp_path, capsys, monkeypatch):
+    real_local_train, calls = orchestrator.local_train, []
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("injected")
+        return real_local_train(*args)
+
+    monkeypatch.setattr(orchestrator, "local_train", fail_once)
+    config = write_tiny(tmp_path, {"failure_policy": "skip"})
+    assert main(["run", "--variant", "fedavg", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["fedavg seed 0: 1 event (round 1)"]
+    assert "event" not in captured.out
 
 
 def test_sweep_labels_each_value(tmp_path):

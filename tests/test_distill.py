@@ -45,6 +45,14 @@ def _batch_from(samples, noise, labels):
     return PseudoBatch(noise=noise, labels=labels, samples=Tensor(np.asarray(samples, dtype=np.float64)))
 
 
+def _cd(teachers, student, batch, gwf):
+    return loss_cd(teacher_softmax(nn.stack(teachers), batch.samples.data), student, batch, gwf)
+
+
+def _cf(teachers, batch, gwf):
+    return loss_cf(nn.stack(teachers).forward(batch.samples), batch, gwf)
+
+
 # ---------------------------------------------------------------------------
 # loss closed forms
 
@@ -69,14 +77,14 @@ def test_loss_div_worked_example():
 def test_loss_cf_uniform_teacher_is_log_num_classes():
     teacher = Classifier(2, 4, rng=None)  # zero weights: uniform softmax
     batch = _batch_from(np.random.default_rng(0).normal(size=(6, 2)), np.zeros((6, 3)), np.arange(6) % 4)
-    assert abs(loss_cf([teacher], batch, _one_teacher_gwf()).item() - math.log(4.0)) < 1e-12
+    assert abs(_cf([teacher], batch, _one_teacher_gwf()).item() - math.log(4.0)) < 1e-12
 
 
 def test_loss_cd_single_teacher_equals_plain_kl():
     teacher, student, _ = _small_models()
     x = np.random.default_rng(3).normal(size=(8, 2))
     batch = _batch_from(x, np.zeros((8, 3)), np.arange(8) % 4)
-    got = loss_cd([teacher], student, batch, _one_teacher_gwf()).item()
+    got = _cd([teacher], student, batch, _one_teacher_gwf()).item()
     with nn.no_grad():
         p = nn.softmax(teacher.forward(x))
         q = nn.softmax(student.forward(x))
@@ -89,14 +97,17 @@ def test_loss_cd_is_exactly_zero_at_the_fixed_point():
     twin = teacher.spawn(teacher.param_vector())
     x = np.random.default_rng(4).normal(size=(5, 2))
     batch = _batch_from(x, np.zeros((5, 3)), np.arange(5) % 4)
-    assert loss_cd([teacher], twin, batch, _one_teacher_gwf()).item() == 0.0
+    assert _cd([teacher], twin, batch, _one_teacher_gwf()).item() == 0.0
 
 
 def test_loss_cd_requires_one_weight_row_per_teacher():
     teacher, student, _ = _small_models()
     batch = _batch_from(np.zeros((2, 2)), np.zeros((2, 3)), np.array([0, 1]))
+    two_rows = GwfWeights(alpha=np.ones((2, 4)) / 2)
     with pytest.raises(InvalidInputError):
-        loss_cd([teacher], student, batch, GwfWeights(alpha=np.ones((2, 4)) / 2))
+        _cd([teacher], student, batch, two_rows)
+    with pytest.raises(InvalidInputError):
+        _cf([teacher], batch, two_rows)
 
 
 def test_loss_cd_routes_by_conditioning_label():
@@ -106,13 +117,13 @@ def test_loss_cd_routes_by_conditioning_label():
     x = np.random.default_rng(5).normal(size=(6, 2))
     batch = _batch_from(x, np.zeros((6, 3)), np.arange(6) % 4)
     alpha = np.vstack([np.ones(4), np.zeros(4)])
-    both = loss_cd([teacher, wild], student, batch, GwfWeights(alpha=alpha)).item()
-    alone = loss_cd([teacher], student, batch, _one_teacher_gwf()).item()
+    both = _cd([teacher, wild], student, batch, GwfWeights(alpha=alpha)).item()
+    alone = _cd([teacher], student, batch, _one_teacher_gwf()).item()
     assert abs(both - alone) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# per-alternation precomputation is bit-exact
+# the per-alternation noise distances are bit-exact
 
 
 def test_loss_div_with_precomputed_noise_distances_is_bit_identical():
@@ -132,27 +143,6 @@ def test_loss_div_with_precomputed_noise_distances_is_bit_identical():
     assert fast_grad.tobytes() == plain_grad.tobytes()
 
 
-def test_loss_cd_with_precomputed_teacher_probs_is_bit_identical():
-    teacher, student, _ = _small_models()
-    wild = Classifier(2, 4, hidden=(16, 16), rng=np.random.default_rng(99))
-    teachers = [teacher, wild]
-    for t in teachers:
-        t.freeze()
-    x = np.random.default_rng(12).normal(size=(9, 2))
-    batch = _batch_from(x, np.zeros((9, 3)), np.arange(9) % 4)
-    gwf = GwfWeights(alpha=np.vstack([np.full(4, 0.25), np.full(4, 0.75)]))
-
-    def value_and_grad(*extra):
-        loss = loss_cd(teachers, student, batch, gwf, *extra)
-        backward(loss)
-        return loss.item(), np.concatenate([p.grad.ravel() for p in student.parameters()])
-
-    plain_value, plain_grad = value_and_grad()
-    fast_value, fast_grad = value_and_grad(teacher_softmax(teachers, x))
-    assert fast_value == plain_value
-    assert fast_grad.tobytes() == plain_grad.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # gradient routing
 
@@ -162,7 +152,7 @@ def test_loss_cd_pulls_student_only():
     x = np.random.default_rng(6).normal(size=(6, 2))
     batch = _batch_from(x, np.zeros((6, 3)), np.arange(6) % 4)
     teacher.freeze()
-    val = loss_cd([teacher], student, batch, _one_teacher_gwf())
+    val = _cd([teacher], student, batch, _one_teacher_gwf())
     backward(val)
     assert any(np.any(p.grad != 0) for p in student.parameters())
     assert all(p.grad is None for p in teacher.parameters())
@@ -174,7 +164,7 @@ def test_loss_cf_reaches_the_generator_through_samples():
     labels = np.arange(6) % 4
     noise = np.random.default_rng(7).normal(size=(6, 8))
     batch = PseudoBatch(noise=noise, labels=labels, samples=gen.forward(noise, labels))
-    backward(loss_cf([teacher], batch, _one_teacher_gwf()))
+    backward(_cf([teacher], batch, _one_teacher_gwf()))
     assert any(np.any(p.grad != 0) for p in gen.parameters())
     assert all(p.grad is None for p in teacher.parameters())
 
@@ -184,10 +174,10 @@ def test_student_step_direction_reduces_kl():
     x = np.random.default_rng(8).normal(size=(10, 2))
     batch = _batch_from(x, np.zeros((10, 3)), np.arange(10) % 4)
     gwf = _one_teacher_gwf()
-    before = loss_cd([teacher], student, batch, gwf)
+    before = _cd([teacher], student, batch, gwf)
     backward(before)
     student.step(0.05)
-    after = loss_cd([teacher], student, batch, gwf)
+    after = _cd([teacher], student, batch, gwf)
     assert after.item() < before.item()
 
 

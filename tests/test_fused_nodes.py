@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from disue import nn
-from helpers import unfused_cross_entropy, unfused_kl_rows, unfused_log_likelihood, unfused_trunk
+from helpers import (
+    unfused_cross_entropy,
+    unfused_stacked_log_likelihood,
+    unfused_trunk,
+    unfused_weighted_kl,
+)
+
+# teacher counts on both sides of numpy's 8-way unrolled pairwise sum: a sum
+# over the teacher axis would move bits from K = 8 on
+TEACHER_COUNTS = [1, 2, 3, 4, 8, 9]
 
 
 def _bits(a) -> tuple:
@@ -27,13 +36,6 @@ def _weights_like(shape, rng) -> np.ndarray:
 
 def _drive(out: nn.Tensor, w: np.ndarray) -> nn.Tensor:
     return nn.tsum(nn.mul(out, w))
-
-
-def _chain(terms) -> nn.Tensor:
-    total = terms[0]
-    for term in terms[1:]:
-        total = nn.add(total, term)
-    return total
 
 
 def _classifier(seed: int) -> nn.Classifier:
@@ -93,36 +95,34 @@ def test_generator_trunk_with_tanh():
     assert _grads(gen) == _grads(twin)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", TEACHER_COUNTS)
 def test_stacked_teachers_read_by_two_branches(k):
-    """The generator step's shape: one stacked forward, a softmax branch and a log-likelihood branch."""
+    """The generator step's shape: one stacked forward, read by a weighted KL and by a log-likelihood branch."""
     rng = np.random.default_rng(10 + k)
     teachers = [_classifier(20 + i).freeze() for i in range(k)]
     data = rng.standard_normal((9, 3))
     labels = rng.integers(0, 4, size=9)
-    probs_w = [_weights_like((9, 4), rng) for _ in range(k)]
-    label_w = [_weights_like(9, rng) for _ in range(k)]
+    student_probs = _probability_rows(rng, (9, 4))
+    kl_w, label_w = _weights_like((k, 9), rng), _weights_like((k, 9), rng)
 
     x = nn.Tensor(data, requires_grad=True)
     logits = nn.stack(teachers).forward(x)
-    first = nn.unstack(nn.softmax(logits))
-    second = nn.unstack(nn.branch(logits))
-    nn.backward(nn.add(
-        _chain([_drive(first[i], probs_w[i]) for i in range(k)]),
-        _chain([nn.log_likelihood(second[i], labels, label_w[i]) for i in range(k)]),
-    ))
+    kl = nn.weighted_kl(nn.softmax(logits), student_probs, kl_w)
+    ll = nn.log_likelihood(nn.branch(logits), labels, label_w)
+    nn.backward(nn.add(nn.mul(kl, -0.5), nn.mul(ll, -0.25)))
 
+    # the unfused tape runs every teacher twice, once per term
     x_plain = nn.Tensor(data, requires_grad=True)
-    plain_first = [nn.softmax(unfused_trunk(x_plain, t.layers)) for t in teachers]
-    plain_second = [unfused_trunk(x_plain, t.layers) for t in teachers]
-    nn.backward(nn.add(
-        _chain([_drive(plain_first[i], probs_w[i]) for i in range(k)]),
-        _chain([unfused_log_likelihood(plain_second[i], labels, label_w[i]) for i in range(k)]),
-    ))
+    plain_probs = [nn.softmax(unfused_trunk(x_plain, t.layers)) for t in teachers]
+    plain_logits = [unfused_trunk(x_plain, t.layers) for t in teachers]
+    plain_kl = unfused_weighted_kl(plain_probs, student_probs, kl_w)
+    plain_ll = unfused_stacked_log_likelihood(plain_logits, labels, label_w)
+    nn.backward(nn.add(nn.mul(plain_kl, -0.5), nn.mul(plain_ll, -0.25)))
 
     for i in range(k):
-        assert _bits(logits.data[i]) == _bits(plain_second[i].data)
-        assert _bits(first[i].data) == _bits(plain_first[i].data)
+        assert _bits(logits.data[i]) == _bits(plain_logits[i].data)
+    assert _bits(kl.data) == _bits(plain_kl.data)
+    assert _bits(ll.data) == _bits(plain_ll.data)
     assert _bits(x.grad) == _bits(x_plain.grad)
     assert all(p.grad is None for t in teachers for p in t.parameters())
 
@@ -135,19 +135,64 @@ def _probability_rows(rng, shape) -> np.ndarray:
 
 
 @pytest.mark.parametrize("live", ["p", "q"])
-def test_kl_rows_with_either_side_live(live):
+def test_weighted_kl_without_a_teacher_axis(live):
+    """p with q's shape, as kl_divergence passes it: one teacher, no teacher axis."""
     rng = np.random.default_rng(3)
     p, q = _probability_rows(rng, (6, 4)), _probability_rows(rng, (6, 4))
     w = _weights_like(6, rng)
 
-    def run(kl_rows):
+    def run(weighted_kl):
         tp = nn.Tensor(p, requires_grad=live == "p")
         tq = nn.Tensor(q, requires_grad=live == "q")
-        out = kl_rows(tp, tq)
-        nn.backward(_drive(out, w))
+        out = weighted_kl(tp, tq, w)
+        nn.backward(nn.mul(out, -0.3))
         return _bits(out.data), _bits((tp if live == "p" else tq).grad)
 
-    assert run(nn.kl_rows) == run(unfused_kl_rows)
+    assert run(nn.weighted_kl) == run(lambda tp, tq, w: unfused_weighted_kl([tp], tq, [w]))
+
+
+@pytest.mark.parametrize("live", ["teacher", "student"])
+@pytest.mark.parametrize("k", TEACHER_COUNTS)
+def test_stacked_weighted_kl_matches_the_per_teacher_chain(k, live):
+    rng = np.random.default_rng(30 + k)
+    ps = [_probability_rows(rng, (20, 4)) for _ in range(k)]
+    q = _probability_rows(rng, (20, 4))
+    w = _weights_like((k, 20), rng)
+
+    p_stack = nn.Tensor(np.stack(ps), requires_grad=live == "teacher")
+    q_live = nn.Tensor(q, requires_grad=live == "student")
+    fused = nn.weighted_kl(p_stack, q_live, w)
+    nn.backward(nn.mul(fused, -0.3))
+
+    p_plain = [nn.Tensor(p, requires_grad=live == "teacher") for p in ps]
+    q_plain = nn.Tensor(q, requires_grad=live == "student")
+    plain = unfused_weighted_kl(p_plain, q_plain, w)
+    nn.backward(nn.mul(plain, -0.3))
+
+    assert _bits(fused.data) == _bits(plain.data)
+    if live == "teacher":
+        assert [_bits(g) for g in p_stack.grad] == [_bits(p.grad) for p in p_plain]
+    else:
+        assert _bits(q_live.grad) == _bits(q_plain.grad)
+
+
+@pytest.mark.parametrize("k", TEACHER_COUNTS)
+def test_stacked_log_likelihood_matches_the_per_teacher_chain(k):
+    rng = np.random.default_rng(40 + k)
+    data = rng.standard_normal((k, 20, 5)) * 3.0
+    labels = rng.integers(0, 5, size=20)
+    w = _weights_like((k, 20), rng)
+
+    logits = nn.Tensor(data, requires_grad=True)
+    fused = nn.log_likelihood(logits, labels, w)
+    nn.backward(nn.mul(fused, -0.05))
+
+    plain_logits = [nn.Tensor(z, requires_grad=True) for z in data]
+    plain = unfused_stacked_log_likelihood(plain_logits, labels, w)
+    nn.backward(nn.mul(plain, -0.05))
+
+    assert _bits(fused.data) == _bits(plain.data)
+    assert [_bits(g) for g in logits.grad] == [_bits(z.grad) for z in plain_logits]
 
 
 def test_cross_entropy():

@@ -55,19 +55,32 @@ def test_cross_entropy_rejects_out_of_range_label():
         nn.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+class _OneParam(nn.Module):
+    def __init__(self, value, grad):
+        self.p = nn.Tensor(np.array(value, dtype=float), requires_grad=True)
+        self.p.grad = np.array(grad, dtype=float)
+
+    def parameters(self):
+        return [self.p]
+
+
 def test_sgd_step_worked_example():
-    out = nn.sgd_step(np.array([2.0]), np.array([0.5]), lr=0.1, weight_decay=1e-3)
-    assert np.allclose(out, [1.9498], atol=1e-12)
+    model = _OneParam([2.0], [0.5])
+    model.step(0.1, weight_decay=1e-3)
+    assert np.allclose(model.p.data, [1.9498], atol=1e-12)
 
 
 def test_sgd_step_rejects_non_finite_gradient():
+    model = _OneParam([1.0], [np.nan])
     with pytest.raises(DivergenceError):
-        nn.sgd_step(np.array([1.0]), np.array([np.nan]), lr=0.1)
+        model.step(0.1)
+    assert model.p.data.tolist() == [1.0]
 
 
 def test_sgd_step_zero_lr_is_identity():
-    params = np.array([0.3, -1.7])
-    assert np.array_equal(nn.sgd_step(params, np.array([9.0, -2.0]), lr=0.0), params)
+    model = _OneParam([0.3, -1.7], [9.0, -2.0])
+    model.step(0.0)
+    assert model.p.data.tolist() == [0.3, -1.7]
 
 
 # ---------------------------------------------------------------------------
