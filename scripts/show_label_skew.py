@@ -28,11 +28,11 @@ def main() -> int:
         epsilon = float(raw)
         clients = dirichlet_partition(dataset, args.clients, epsilon, seed=args.seed)
         print(f"\nepsilon = {epsilon:g}")
-        for shard in clients:
+        for cid, shard in enumerate(clients):
             counts = label_counts(shard.labels, args.classes)
             bars = " ".join(f"{c:4d}" for c in counts)
             dominant = counts.max() / counts.sum()
-            print(f"  client {shard.client_id:2d}  [{bars}]  top-class share {dominant:.2f}")
+            print(f"  client {cid:2d}  [{bars}]  top-class share {dominant:.2f}")
     return 0
 
 

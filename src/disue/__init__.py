@@ -11,13 +11,7 @@ from .aggregation import (
 )
 from .clustering import ClusterPartition, SimilarityMatrix, affinity_propagation, build_similarity_matrix
 from .config import VARIANTS, DatasetConfig, DistillConfig, SimConfig, parse_config
-from .data import (
-    ClientDataset,
-    LabelHistogram,
-    SyntheticDataset,
-    dirichlet_partition,
-    make_synthetic_dataset,
-)
+from .data import Dataset, LabelHistogram, dirichlet_partition, make_synthetic_dataset
 from .distill import PseudoBatch, iga_round, loss_cd, loss_cf, loss_div
 from .errors import (
     ConfigError,

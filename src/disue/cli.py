@@ -16,7 +16,6 @@ with the count per stage.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -91,12 +90,9 @@ def _base_config(args: argparse.Namespace, variant: str | None) -> SimConfig:
 
 def _sweep_value(param: str, raw: str) -> float | int:
     try:
-        value = int(raw) if param in INT_SWEEP_PARAMS else float(raw)
+        return int(raw) if param in INT_SWEEP_PARAMS else float(raw)
     except ValueError:
         raise ConfigError(f"config key 'distill.{param}' cannot take the value {raw!r}") from None
-    if math.isnan(value):
-        raise ConfigError(f"config key 'distill.{param}' must not be NaN")
-    return value
 
 
 def _plan(args: argparse.Namespace) -> tuple[SimConfig, dict[str, SimConfig]]:

@@ -7,10 +7,12 @@ and availability messages:
     a(i,k) <- min(0, r(k,k) + sum_{i' not in {i,k}} max(0, r(i',k)))   (i != k)
     a(k,k) <- sum_{i' != k} max(0, r(i',k))
 
-Both message sets are damped at 0.5. Exemplars are the points with
-r(k,k) + a(k,k) > 0. Message passing stops once the exemplar set, empty
-or not, has been stable for 15 consecutive sweeps, or after 200 sweeps;
-a stable empty set ends in the single-cluster fallback. The preference
+Both message sets are damped at DAMPING = 0.5. Exemplars are the points
+with r(k,k) + a(k,k) > 0. Message passing stops once the exemplar set,
+empty or not, has been stable for STABLE_SWEEPS = 15 consecutive sweeps,
+or after MAX_SWEEPS = 200 sweeps; a stable empty set ends in the
+single-cluster fallback. These are the standard settings of Frey and
+Dueck (Science 2007), and no caller changes them. The preference
 (diagonal) defaults to the median off-diagonal similarity, and the
 number of clusters is whatever emerges; it is never chosen up front.
 """
@@ -22,6 +24,10 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .secure import MaskedParams, check_pairing
+
+DAMPING = 0.5
+MAX_SWEEPS = 200
+STABLE_SWEEPS = 15
 
 
 @dataclass
@@ -72,13 +78,7 @@ def build_similarity_matrix(masked: list[MaskedParams]) -> SimilarityMatrix:
     return SimilarityMatrix(values=values, client_ids=[m.client_id for m in masked])
 
 
-def affinity_propagation(
-    sim: SimilarityMatrix,
-    damping: float = 0.5,
-    max_iter: int = 200,
-    stable_iter: int = 15,
-    preference: float | None = None,
-) -> ClusterPartition:
+def affinity_propagation(sim: SimilarityMatrix, preference: float | None = None) -> ClusterPartition:
     """Cluster clients by message passing on the similarity matrix.
 
     preference=None uses the median off-diagonal similarity. Ties in the
@@ -87,8 +87,6 @@ def affinity_propagation(
     n = sim.n
     if sim.values.shape != (n, n) or n < 2:
         raise InvalidInputError("affinity_propagation needs a square matrix over >= 2 clients")
-    if not 0.0 <= damping < 1.0:
-        raise InvalidInputError("damping must be in [0, 1)")
     off_diag = sim.values[~np.eye(n, dtype=bool)]
     pref = float(np.median(off_diag)) if preference is None else float(preference)
     s = sim.values.copy()
@@ -100,7 +98,7 @@ def affinity_propagation(
     exemplars = np.zeros(n, dtype=bool)
     stable = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         # responsibilities
         aps = a + s
         first_k = np.argmax(aps, axis=1)
@@ -109,7 +107,7 @@ def affinity_propagation(
         second = aps.max(axis=1)
         r_new = s - first[:, None]
         r_new[idx, first_k] = s[idx, first_k] - second
-        r = damping * r + (1.0 - damping) * r_new
+        r = DAMPING * r + (1.0 - DAMPING) * r_new
 
         # availabilities
         rp = np.maximum(r, 0.0)
@@ -119,17 +117,17 @@ def affinity_propagation(
         diag = a_new.diagonal().copy()
         a_new = np.minimum(a_new, 0.0)
         np.fill_diagonal(a_new, diag)
-        a = damping * a + (1.0 - damping) * a_new
+        a = DAMPING * a + (1.0 - DAMPING) * a_new
 
         current = (r.diagonal() + a.diagonal()) > 0
         stable = stable + 1 if np.array_equal(current, exemplars) else 0
         exemplars = current
-        if stable >= stable_iter:
+        if stable >= STABLE_SWEEPS:
             break
 
     exemplar_idx = np.flatnonzero(exemplars)
     fallback = exemplar_idx.size == 0
-    converged = stable >= stable_iter and not fallback
+    converged = stable >= STABLE_SWEEPS and not fallback
     if fallback:
         # no exemplar emerged; rescue with a single cluster led by the most
         # central client (highest total similarity), lower index on ties

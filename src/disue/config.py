@@ -114,7 +114,18 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"config key '{key}' {message}")
 
 
+def _require_finite(cfg, prefix: str = "") -> None:
+    """Every float field, nested ones included, is neither NaN nor infinite."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            _require_finite(value, f"{f.name}.")
+        elif f.type == "float":
+            _require(math.isfinite(value), f"{prefix}{f.name}", f"must be finite, got {value!r}")
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
+    _require_finite(cfg)
     _require(cfg.rounds >= 1, "rounds", "must be >= 1")
     _require(cfg.clients >= 2, "clients", "must be >= 2")
     _require(0.0 < cfg.act <= 1.0, "act", "must be in (0, 1]")
@@ -136,6 +147,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(ds.class_std > 0, "dataset.class_std", "must be > 0")
     _require(ds.radius > 0, "dataset.radius", "must be > 0")
     _require(0.0 <= ds.test_fraction < 1.0, "dataset.test_fraction", "must be in [0, 1)")
+    # the held-out count per class, as split_dataset computes it
+    held_out = int(round(ds.test_fraction * ds.samples_per_class))
+    _require(held_out >= 1, "dataset.test_fraction", "must hold out at least one sample per class")
     _require(0.0 <= ds.holdout_fraction < 1.0, "dataset.holdout_fraction", "must be in [0, 1)")
     d = cfg.distill
     for key in ("noise_dim", "pseudo_batch", "inner_iters", "gen_steps", "student_steps", "label_embed_dim", "gen_hidden_dim"):
@@ -180,14 +194,11 @@ _ACCEPTS = {
 
 def _coerce(f: dataclasses.Field, value, prefix: str):
     """Check a value against its field's type; nothing is converted, so the echo keeps its bytes."""
-    key = f"{prefix}{f.name}"
-    if isinstance(value, float) and math.isnan(value):
-        raise ConfigError(f"config key '{key}' must not be NaN")
     kind = f.type.removesuffix(" | None")
     if value is None and kind != f.type:
         return value  # an optional field left unset
     if not _ACCEPTS[kind](value):
-        raise ConfigError(f"config key '{key}' must be {f.type}, got {json.dumps(value)}")
+        raise ConfigError(f"config key '{prefix}{f.name}' must be {f.type}, got {json.dumps(value)}")
     return value
 
 
@@ -202,9 +213,10 @@ def config_to_dict(cfg: SimConfig) -> dict:
 
 
 def parse_config(path=None, overrides: dict | None = None) -> SimConfig:
-    """Load a config file (or defaults) and apply flat CLI overrides.
+    """Load a config file (or defaults) and apply the CLI overrides.
 
-    Overrides use dotted keys for nested fields, e.g. {"distill.beta_cf": 0.5}.
+    Overrides are top-level keys, e.g. {"rounds": 7}; a None value leaves
+    the file's value in place. Nested fields are set in the file.
     """
     payload: dict = {}
     if path is not None:
@@ -216,16 +228,7 @@ def parse_config(path=None, overrides: dict | None = None) -> SimConfig:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config document must be a JSON object")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        target = payload
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"config key '{key}' conflicts with a non-object value")
-        target[parts[-1]] = value
+    payload.update({key: value for key, value in (overrides or {}).items() if value is not None})
     return config_from_dict(payload)
 
 

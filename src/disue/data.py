@@ -15,8 +15,8 @@ from .errors import ConfigError, InvalidInputError, InvalidStateError
 
 
 @dataclass
-class SyntheticDataset:
-    """A fully materialized labelled dataset."""
+class Dataset:
+    """A fully materialized labelled dataset: the whole task or one client's shard of it."""
 
     features: np.ndarray  # [n, feature_dim] float64
     labels: np.ndarray  # [n] int64
@@ -26,18 +26,9 @@ class SyntheticDataset:
     def n(self) -> int:
         return int(self.labels.shape[0])
 
-
-@dataclass
-class ClientDataset:
-    """One client's local shard."""
-
-    client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.labels.shape[0])
+    def subset(self, index: np.ndarray) -> "Dataset":
+        """The rows at `index`, copied."""
+        return Dataset(self.features[index].copy(), self.labels[index].copy(), self.num_classes)
 
 
 @dataclass
@@ -78,7 +69,7 @@ def make_synthetic_dataset(
     seed,
     class_std: float = 0.5,
     radius: float = 1.0,
-) -> SyntheticDataset:
+) -> Dataset:
     """Deterministic Gaussian-blob dataset, shuffled once.
 
     Default std is calibrated so a linear decision rule lands around 80%
@@ -99,7 +90,7 @@ def make_synthetic_dataset(
     )
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     order = rng.permutation(labels.shape[0])
-    return SyntheticDataset(features[order], labels[order], num_classes)
+    return Dataset(features[order], labels[order], num_classes)
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -114,7 +105,7 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     return base
 
 
-def dirichlet_partition(dataset: SyntheticDataset, num_clients: int, epsilon: float, seed) -> list[ClientDataset]:
+def dirichlet_partition(dataset: Dataset, num_clients: int, epsilon: float, seed) -> list[Dataset]:
     """Split a dataset across clients with per-class Dirichlet(epsilon) skew.
 
     Every sample is assigned exactly once and every client ends up with at
@@ -141,11 +132,7 @@ def dirichlet_partition(dataset: SyntheticDataset, num_clients: int, epsilon: fl
             assigned[c].append(idx[offsets[c] : offsets[c + 1]])
     pools = [np.concatenate(parts) if parts else np.empty(0, dtype=np.int64) for parts in assigned]
     _cover_empty_clients(pools)
-    clients = []
-    for c, pool in enumerate(pools):
-        pool = np.sort(pool)
-        clients.append(ClientDataset(c, dataset.features[pool].copy(), dataset.labels[pool].copy()))
-    return clients
+    return [dataset.subset(np.sort(pool)) for pool in pools]
 
 
 def _cover_empty_clients(pools: list[np.ndarray]) -> None:
@@ -163,7 +150,7 @@ def _cover_empty_clients(pools: list[np.ndarray]) -> None:
         pools[donor] = pools[donor][:-1]
 
 
-def split_dataset(dataset: SyntheticDataset, fraction: float, seed) -> tuple[SyntheticDataset, SyntheticDataset]:
+def split_dataset(dataset: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Stratified split into (rest, held_out) with `fraction` held out per class."""
     if not 0.0 <= fraction < 1.0:
         raise InvalidInputError("fraction must be in [0, 1)")
@@ -175,25 +162,17 @@ def split_dataset(dataset: SyntheticDataset, fraction: float, seed) -> tuple[Syn
         cut = int(round(fraction * idx.size))
         held.append(idx[:cut])
         kept.append(idx[cut:])
-    kept_idx = np.sort(np.concatenate(kept))
-    held_idx = np.sort(np.concatenate(held))
-    pick = lambda sel: SyntheticDataset(
-        dataset.features[sel].copy(), dataset.labels[sel].copy(), dataset.num_classes
-    )
-    return pick(kept_idx), pick(held_idx)
+    return dataset.subset(np.sort(np.concatenate(kept))), dataset.subset(np.sort(np.concatenate(held)))
 
 
-def split_client_holdout(client: ClientDataset, fraction: float, seed) -> tuple[ClientDataset, ClientDataset]:
+def split_client_holdout(client: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Split one client's shard into (train, holdout), keeping >= 1 train sample."""
     if not 0.0 <= fraction < 1.0:
         raise InvalidInputError("fraction must be in [0, 1)")
     rng = np.random.default_rng(seed)
     order = rng.permutation(client.n)
     cut = min(int(fraction * client.n), client.n - 1)
-    held, kept = np.sort(order[:cut]), np.sort(order[cut:])
-    train = ClientDataset(client.client_id, client.features[kept].copy(), client.labels[kept].copy())
-    holdout = ClientDataset(client.client_id, client.features[held].copy(), client.labels[held].copy())
-    return train, holdout
+    return client.subset(np.sort(order[cut:])), client.subset(np.sort(order[:cut]))
 
 
 def label_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -132,22 +132,16 @@ def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tens
     return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, weights), -1.0 / batch.size)
 
 
-def noise_distances(noise: np.ndarray) -> np.ndarray:
-    """[Q, Q] Euclidean distances between the noise rows."""
-    zdiff = noise[:, None, :] - noise[None, :, :]
-    np.multiply(zdiff, zdiff, out=zdiff)  # in place: a second [Q, Q, noise_dim] buffer costs more than the square
-    return np.sqrt(zdiff.sum(axis=2))
-
-
 def loss_div(batch: PseudoBatch, zdist: np.ndarray | None = None) -> Tensor:
     """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse.
 
-    `zdist`, when given, must be noise_distances(batch.noise); callers that
-    reuse one noise draw pass it to skip the [Q, Q, noise_dim] pass.
+    `zdist`, when given, must be nn.pairwise_distances(batch.noise).data;
+    callers that reuse one noise draw pass it to skip the [Q, Q, noise_dim]
+    pass.
     """
     q = batch.size
     if zdist is None:
-        zdist = noise_distances(batch.noise)
+        zdist = nn.pairwise_distances(batch.noise).data
     xdist = nn.pairwise_distances(batch.samples)
     exponent = nn.mul(nn.tsum(nn.mul(xdist, -zdist)), 1.0 / (q * q))
     return nn.exp(exponent)
@@ -171,11 +165,10 @@ def _generator_objective(
     cd = nn.mul(nn.weighted_kl(nn.softmax(logits), student_probs, weights), 1.0 / batch.size)
     cf = loss_cf(nn.branch(logits), batch, gwf)
     div = loss_div(batch, zdist)
-    if cfg.literal_minimax:
-        # the flipped composition: generator descends all three terms together
-        objective = nn.add(nn.add(cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
-    else:
-        objective = nn.add(nn.add(nn.neg(cd), nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
+    # the generator ascends cd, except in the flipped composition, where it
+    # descends all three terms together
+    signed_cd = cd if cfg.literal_minimax else nn.mul(cd, -1.0)
+    objective = nn.add(nn.add(signed_cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
     return objective, cd.item(), cf.item(), div.item()
 
 
@@ -202,7 +195,7 @@ def iga_round(
     try:
         for inner in range(cfg.inner_iters):
             labels, noise = _draw_labels_and_noise(gls, cfg.pseudo_batch, generator.noise_dim, rng)
-            zdist = noise_distances(noise)
+            zdist = nn.pairwise_distances(noise).data
             for _ in range(cfg.gen_steps):
                 batch = PseudoBatch(noise, labels, generator.forward(noise, labels))
                 objective, cd_val, cf_val, div_val = _generator_objective(stacked, student, batch, gwf, cfg, zdist)

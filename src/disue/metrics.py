@@ -75,19 +75,19 @@ def read_round_csv(path) -> list[dict[str, float]]:
     return out
 
 
-def final_accuracy(rows: list[RoundMetrics], window: int = SUMMARY_WINDOW) -> float:
-    """Mean global accuracy over the last `window` rounds (fewer if the run is short)."""
+def final_accuracy(rows: list[RoundMetrics]) -> float:
+    """Mean global accuracy over the last SUMMARY_WINDOW rounds (fewer if the run is short)."""
     if not rows:
         raise InvalidInputError("no rounds to summarize")
-    tail = rows[-window:]
+    tail = rows[-SUMMARY_WINDOW:]
     return float(np.mean([r.global_acc for r in tail]))
 
 
-def summarize(per_variant: dict[str, dict[int, list[RoundMetrics]]], window: int = SUMMARY_WINDOW) -> dict:
+def summarize(per_variant: dict[str, dict[int, list[RoundMetrics]]]) -> dict:
     """Mean and std over seeds of the final-window accuracy, per variant."""
-    summary: dict = {"window": window, "variants": {}}
+    summary: dict = {"window": SUMMARY_WINDOW, "variants": {}}
     for variant, by_seed in per_variant.items():
-        finals = {str(seed): final_accuracy(rows, window) for seed, rows in sorted(by_seed.items())}
+        finals = {str(seed): final_accuracy(rows) for seed, rows in sorted(by_seed.items())}
         values = np.array(list(finals.values()))
         summary["variants"][variant] = {
             "per_seed_final_acc": finals,

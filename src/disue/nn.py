@@ -171,16 +171,6 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, -g)
-
-    return _node(-a.data, (a,), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
@@ -204,33 +194,32 @@ def exp(a) -> Tensor:
     return _node(out_data, (a,), bwd)
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def bwd(g):
         if not a.needs_grad():
             return
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _node(out_data, (a,), bwd)
 
 
-def concat(a, b, axis: int = 1) -> Tensor:
+def concat(a, b) -> Tensor:
+    """[batch, m] and [batch, n] side by side as [batch, m + n]."""
     a, b = as_tensor(a), as_tensor(b)
-    split = a.data.shape[axis]
+    split = a.data.shape[1]
 
     def bwd(g):
-        ga, gb = np.split(g, [split], axis=axis)
+        ga, gb = np.split(g, [split], axis=1)
         if a.needs_grad():
             _accumulate(a, ga)
         if b.needs_grad():
             _accumulate(b, gb)
 
-    return _node(np.concatenate([a.data, b.data], axis=axis), (a, b), bwd)
+    return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
 
 def embedding_rows(table, index) -> Tensor:
@@ -300,18 +289,19 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False) -> Tensor:
     return _node(out, (x, *params), bwd)
 
 
-def softmax(logits, axis: int = -1) -> Tensor:
+def softmax(logits) -> Tensor:
+    """Softmax over the last axis."""
     t = as_tensor(logits)
     if not np.all(np.isfinite(t.data)):
         # non-finite logits mean the optimization blew up somewhere upstream
         raise DivergenceError("non-finite logits in softmax")
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
+    shifted = t.data - t.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         if t.needs_grad():
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            dot = (g * out_data).sum(axis=-1, keepdims=True)
             _accumulate(t, out_data * (g - dot))
 
     return _node(out_data, (t,), bwd)
@@ -323,7 +313,8 @@ def pairwise_distances(x) -> Tensor:
     if t.data.ndim != 2:
         raise InvalidInputError("pairwise_distances expects a 2-d batch")
     diff = t.data[:, None, :] - t.data[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    np.multiply(diff, diff, out=diff)  # in place: a second [n, n, dim] buffer costs more than the square
+    d = np.sqrt(diff.sum(axis=2))
 
     def bwd(g):
         if not t.needs_grad():
@@ -464,11 +455,34 @@ def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
 # models
 
 
+class Dense:
+    """Affine layer x @ w + b with w of shape [in, out]."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, gain: float):
+        if rng is None:
+            w = np.zeros((in_dim, out_dim))
+        else:
+            w = rng.normal(0.0, gain / np.sqrt(in_dim), size=(in_dim, out_dim))
+        self.w = Tensor(w, requires_grad=True)
+        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
+
+
 class Module:
-    """Bag of named parameter tensors with a flat-vector view."""
+    """A dense trunk, dims[0] -> ... -> dims[-1], with a flat-vector view of its parameters.
+
+    Hidden layers draw He-scaled weights and the output layer unit-gain
+    ones, in layer order; rng=None zero-initializes, which is the cheap path
+    when parameters are loaded from a flat vector right after construction.
+    """
+
+    def __init__(self, dims: Sequence[int], rng: np.random.Generator | None):
+        self.layers = [
+            Dense(dims[i], dims[i + 1], rng, gain=np.sqrt(2.0) if i + 2 < len(dims) else 1.0)
+            for i in range(len(dims) - 1)
+        ]
 
     def parameters(self) -> list[Tensor]:
-        raise NotImplementedError
+        return [t for layer in self.layers for t in (layer.w, layer.b)]
 
     @property
     def param_count(self) -> int:
@@ -505,24 +519,8 @@ class Module:
         return self
 
 
-class Dense:
-    """Affine layer x @ w + b with w of shape [in, out]."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, gain: float):
-        if rng is None:
-            w = np.zeros((in_dim, out_dim))
-        else:
-            w = rng.normal(0.0, gain / np.sqrt(in_dim), size=(in_dim, out_dim))
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
-
-
 class Classifier(Module):
-    """Dense ReLU network emitting raw logits.
-
-    rng=None zero-initializes, which is the cheap path when parameters are
-    loaded from a flat vector right after construction.
-    """
+    """Dense ReLU network emitting raw logits."""
 
     def __init__(
         self,
@@ -536,17 +534,7 @@ class Classifier(Module):
         self.in_dim = in_dim
         self.num_classes = num_classes
         self.hidden = tuple(hidden)
-        dims = [in_dim, *self.hidden, num_classes]
-        self.layers = [
-            Dense(dims[i], dims[i + 1], rng, gain=np.sqrt(2.0) if i + 2 < len(dims) else 1.0)
-            for i in range(len(dims) - 1)
-        ]
-
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend((layer.w, layer.b))
-        return out
+        super().__init__([in_dim, *self.hidden, num_classes], rng)
 
     def forward(self, batch) -> Tensor:
         h = as_tensor(batch)
@@ -596,18 +584,11 @@ class Generator(Module):
         self.embed_dim = embed_dim
         self.hidden = tuple(hidden)
         embed = np.zeros((num_classes, embed_dim)) if rng is None else rng.normal(0.0, 1.0, size=(num_classes, embed_dim))
-        self.embed = Tensor(embed, requires_grad=True)
-        dims = [noise_dim + embed_dim, *self.hidden, sample_dim]
-        self.layers = [
-            Dense(dims[i], dims[i + 1], rng, gain=np.sqrt(2.0) if i + 2 < len(dims) else 1.0)
-            for i in range(len(dims) - 1)
-        ]
+        self.embed = Tensor(embed, requires_grad=True)  # drawn before the trunk
+        super().__init__([noise_dim + embed_dim, *self.hidden, sample_dim], rng)
 
     def parameters(self) -> list[Tensor]:
-        out = [self.embed]
-        for layer in self.layers:
-            out.extend((layer.w, layer.b))
-        return out
+        return [self.embed, *super().parameters()]
 
     def forward(self, noise, labels) -> Tensor:
         z = as_tensor(noise)
@@ -616,7 +597,7 @@ class Generator(Module):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (z.data.shape[0],):
             raise InvalidInputError("one label per noise row required")
-        return mlp(concat(z, embedding_rows(self.embed, labels), axis=1), self.layers, tanh=True)
+        return mlp(concat(z, embedding_rows(self.embed, labels)), self.layers, tanh=True)
 
 
 def accuracy(model: Classifier, features: np.ndarray, labels: np.ndarray) -> float:

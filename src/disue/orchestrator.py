@@ -51,7 +51,7 @@ from .aggregation import (
 from .clustering import ClusterPartition, affinity_propagation, build_similarity_matrix, singleton_partition
 from .config import VARIANT_SPECS, SimConfig, validate_config
 from .data import (
-    ClientDataset,
+    Dataset,
     LabelHistogram,
     dirichlet_partition,
     label_counts,
@@ -87,8 +87,8 @@ class ClientShard:
     """One client's fixed local data: a training shard and a held-out shard."""
 
     client_id: int
-    train: ClientDataset
-    holdout: ClientDataset
+    train: Dataset
+    holdout: Dataset
 
 
 @dataclass
@@ -125,9 +125,9 @@ def build_federated_data(cfg: SimConfig, seed: int) -> FederatedData:
     train_pool, test_pool = split_dataset(full, ds.test_fraction, seed=[seed, _TAG_TEST_SPLIT])
     shards = dirichlet_partition(train_pool, cfg.clients, cfg.epsilon, seed=[seed, _TAG_PARTITION])
     clients = []
-    for shard in shards:
-        train, holdout = split_client_holdout(shard, ds.holdout_fraction, seed=[seed, _TAG_HOLDOUT, shard.client_id])
-        clients.append(ClientShard(shard.client_id, train, holdout))
+    for cid, shard in enumerate(shards):
+        train, holdout = split_client_holdout(shard, ds.holdout_fraction, seed=[seed, _TAG_HOLDOUT, cid])
+        clients.append(ClientShard(cid, train, holdout))
     return FederatedData(
         clients=clients,
         test_features=test_pool.features,
@@ -157,7 +157,7 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def local_train(
-    data: ClientDataset,
+    data: Dataset,
     init_params: np.ndarray,
     template: Classifier,
     epochs: int,

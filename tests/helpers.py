@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from disue import nn
-from disue.data import ClientDataset
+from disue.data import Dataset
 from disue.orchestrator import ClientShard, FederatedData
 
 
@@ -65,8 +65,8 @@ def identical_client_data(n_clients: int, per_class: int, num_classes: int = 4) 
     y = np.concatenate(labels)
     clients = []
     for cid in range(n_clients):
-        train = ClientDataset(cid, X.copy(), y.copy())
-        holdout = ClientDataset(cid, X[:8].copy(), y[:8].copy())
+        train = Dataset(X.copy(), y.copy(), num_classes)
+        holdout = Dataset(X[:8].copy(), y[:8].copy(), num_classes)
         clients.append(ClientShard(cid, train, holdout))
     order = np.random.default_rng(1).permutation(X.shape[0])
     return FederatedData(clients=clients, test_features=X[order], test_labels=y[order], num_classes=num_classes, feature_dim=2)

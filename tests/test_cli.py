@@ -98,10 +98,9 @@ def test_unknown_keys_are_named_in_the_error(tmp_path):
 def test_overrides_beat_the_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"rounds": 5, "epsilon": 0.3}))
-    cfg = parse_config(str(path), {"rounds": 7, "distill.beta_cf": 0.25, "clients": None})
+    cfg = parse_config(str(path), {"rounds": 7, "clients": None})
     assert cfg.rounds == 7  # override wins
     assert cfg.epsilon == 0.3  # file survives where not overridden
-    assert cfg.distill.beta_cf == 0.25  # dotted key reaches the nested block
     assert cfg.clients == SimConfig().clients  # None overrides are ignored
 
 
@@ -157,6 +156,59 @@ def test_types_are_checked_not_converted(tmp_path):
     emit_config(cfg, tmp_path / "echo.json")
     echoed = (tmp_path / "echo.json").read_text()
     assert '"act": 1,' in echoed and '"beta_cf": 0,' in echoed
+
+
+def test_overrides_are_top_level_keys():
+    with pytest.raises(ConfigError, match="unknown config key 'distill.beta_cf'"):
+        parse_config(None, {"distill.beta_cf": 0.25})
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        (lambda v: {"local_lr": v}, "local_lr"),
+        (lambda v: {"weight_decay": v}, "weight_decay"),
+        (lambda v: {"dataset": {"samples_per_class": 20, "class_std": v}}, "dataset.class_std"),
+        (lambda v: {"distill": {**TINY["distill"], "beta_div": v}}, "distill.beta_div"),
+    ],
+)
+def test_a_non_finite_float_in_the_config_file_exits_2(raw, payload, key, tmp_path, capsys):
+    # json reads NaN, Infinity and -Infinity, so such a file parses
+    code = main(["run", "--config", write_tiny(tmp_path, payload(float(raw))), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config key '{key}' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_a_non_finite_flag_exits_2(raw, tmp_path, capsys):
+    # --epsilon=-inf, since argparse reads a separate "-inf" as an option
+    code = main(["run", "--config", write_tiny(tmp_path), f"--epsilon={raw}", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config key 'epsilon' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_a_non_finite_sweep_value_exits_2(raw, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sweep", "--param", "beta_cf", "--values", f"0.5,{raw}", "--config", write_tiny(tmp_path), "--out-dir", str(out)])
+    assert code == 2
+    assert "config key 'distill.beta_cf' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples_per_class, fraction", [(250, 0.0), (250, 0.001), (20, 0.025)])
+def test_an_empty_global_test_split_fails_at_parse_time(samples_per_class, fraction):
+    payload = {"dataset": {"samples_per_class": samples_per_class, "test_fraction": fraction}}
+    with pytest.raises(ConfigError, match="config key 'dataset.test_fraction' must hold out"):
+        config_from_dict(payload)
+
+
+def test_one_held_out_sample_per_class_is_enough():
+    cfg = config_from_dict({"dataset": {"samples_per_class": 20, "test_fraction": 0.03}})
+    assert cfg.dataset.test_fraction == 0.03
 
 
 # ---------------------------------------------------------------------------

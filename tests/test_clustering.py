@@ -118,7 +118,7 @@ def test_identical_clients_fall_back_to_single_cluster():
     part = affinity_propagation(sim)
     assert part.fallback
     assert not part.converged
-    assert part.n_iterations == 15  # stops once the empty exemplar set is stable for stable_iter sweeps
+    assert part.n_iterations == 15  # stops once the empty exemplar set is stable for STABLE_SWEEPS sweeps
     assert part.num_clusters == 1
     assert part.exemplars == [0]  # most central, first on ties
     assert set(part.members[0]) == set(range(6))

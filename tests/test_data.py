@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disue.data import (
-    ClientDataset,
+    Dataset,
     class_centers,
     dirichlet_partition,
     label_counts,
@@ -146,7 +146,7 @@ def test_stratified_split_fractions():
 
 
 def test_client_holdout_keeps_at_least_one_train_sample():
-    tiny = ClientDataset(3, np.zeros((1, 2)), np.zeros(1, dtype=np.int64))
+    tiny = Dataset(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), 4)
     train, hold = split_client_holdout(tiny, 0.9, seed=0)
     assert train.n == 1 and hold.n == 0
 

@@ -88,7 +88,7 @@ def test_generator_trunk_with_tanh():
     labels = rng.integers(0, 4, size=8)
     w = _weights_like((8, 3), rng)
     fused = gen.forward(noise, labels)
-    plain = unfused_trunk(nn.concat(noise, nn.embedding_rows(twin.embed, labels), axis=1), twin.layers, tanh_out=True)
+    plain = unfused_trunk(nn.concat(noise, nn.embedding_rows(twin.embed, labels)), twin.layers, tanh_out=True)
     nn.backward(_drive(fused, w))
     nn.backward(_drive(plain, w))
     assert _bits(fused.data) == _bits(plain.data)

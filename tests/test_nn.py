@@ -23,7 +23,7 @@ def test_softmax_of_log_odds():
 
 def test_softmax_rows_sum_to_one_even_for_huge_logits():
     logits = np.array([[1e3, 0.0, -1e3], [5.0, 5.0, 5.0]])
-    out = nn.softmax(logits, axis=-1)
+    out = nn.softmax(logits)
     assert np.all(np.isfinite(out.data))
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -176,7 +176,7 @@ def test_gradient_arriving_as_a_view_is_not_aliased():
     a = nn.Tensor(np.ones((2, 2)), requires_grad=True)
     b = nn.Tensor(np.ones((2, 3)), requires_grad=True)
     s = nn.add(a, 0.0)
-    joined = nn.concat(s, b, axis=1)
+    joined = nn.concat(s, b)
     out = nn.add(joined, 1.0)
     nn.backward(nn.tsum(nn.mul(out, 3.0)))
     grads = [a.grad, b.grad, s.grad, joined.grad, out.grad]
@@ -269,6 +269,15 @@ def test_pairwise_distances_gradient_matches_finite_differences():
     assert max_rel_error(t.grad.ravel(), numeric_gradient(value, x0.ravel().copy())) < 1e-4
 
 
+def test_pairwise_distances_match_the_plain_formula_bit_for_bit():
+    # the kernel squares its difference array in place; the bits must not move
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        x = rng.standard_normal((int(rng.integers(2, 60)), int(rng.integers(1, 120))))
+        diff = x[:, None, :] - x[None, :, :]
+        assert nn.pairwise_distances(x).data.tobytes() == np.sqrt((diff * diff).sum(axis=2)).tobytes()
+
+
 def test_pairwise_distances_zero_rows_give_finite_gradient():
     t = nn.Tensor(np.zeros((3, 2)), requires_grad=True)
     nn.backward(nn.tsum(nn.pairwise_distances(t)))
@@ -284,7 +293,7 @@ def test_pairwise_distances_zero_rows_give_finite_gradient():
 def test_softmax_rows_always_sum_to_one(seed):
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((3, 5)) * rng.uniform(0.1, 50.0)
-    out = nn.softmax(logits, axis=-1)
+    out = nn.softmax(logits)
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out.data >= 0)
 

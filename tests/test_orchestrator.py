@@ -17,7 +17,7 @@ import disue
 from disue import nn
 from disue.aggregation import compute_gls
 from disue.config import VARIANT_SPECS, VARIANTS, DatasetConfig, SimConfig
-from disue.data import ClientDataset
+from disue.data import Dataset
 from disue.distill import DistillConfig
 from disue.errors import InvalidInputError
 from disue.metrics import CSV_HEADER, strip_wall_ms
@@ -160,7 +160,7 @@ def _data_with_an_empty_shard(cfg: SimConfig, seed: int) -> FederatedData:
     first = set(sample_active_clients(cfg.clients, cfg.act, 0, seed).tolist())
     second = set(sample_active_clients(cfg.clients, cfg.act, 1, seed).tolist())
     cid = min(first - second)
-    empty = ClientDataset(cid, np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64))
+    empty = Dataset(np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64), data.num_classes)
     data.clients[cid] = dataclasses.replace(data.clients[cid], train=empty)
     return data
 
