@@ -16,6 +16,7 @@ with the count per stage.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -33,6 +34,14 @@ SWEEP_PARAMS = ("beta_cf", "beta_div", "noise_dim", "pseudo_batch")
 INT_SWEEP_PARAMS = ("noise_dim", "pseudo_batch")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes a separate token such as -inf, -nan or -1e-3 for an option unless
+    # it is a plain number; read it as a value, so the config check names its key
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; empty file means all defaults")
     p.add_argument("--seed", type=int, action="append", help="seed to run; repeat the flag for several")
@@ -46,7 +55,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="disue", description="desk-scale clustered federated learning simulator")
+    parser = _Parser(prog="disue", description="desk-scale clustered federated learning simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a single variant")

@@ -15,6 +15,8 @@ single-cluster fallback. These are the standard settings of Frey and
 Dueck (Science 2007), and no caller changes them. The preference
 (diagonal) defaults to the median off-diagonal similarity, and the
 number of clusters is whatever emerges; it is never chosen up front.
+Each sweep runs in place, in buffers allocated once per call, with the
+ufuncs of the plain expressions in their order: no bit moves.
 """
 from __future__ import annotations
 
@@ -94,30 +96,33 @@ def affinity_propagation(sim: SimilarityMatrix, preference: float | None = None)
 
     r = np.zeros((n, n))
     a = np.zeros((n, n))
+    aps = np.empty((n, n))
+    scratch = np.empty((n, n))
+    second = np.empty(n)
     idx = np.arange(n)
     exemplars = np.zeros(n, dtype=bool)
     stable = 0
     it = 0
     for it in range(1, MAX_SWEEPS + 1):
         # responsibilities
-        aps = a + s
+        np.add(a, s, out=aps)
         first_k = np.argmax(aps, axis=1)
         first = aps[idx, first_k]
         aps[idx, first_k] = -np.inf
-        second = aps.max(axis=1)
-        r_new = s - first[:, None]
+        np.max(aps, axis=1, out=second)
+        r_new = np.subtract(s, first[:, None], out=scratch)
         r_new[idx, first_k] = s[idx, first_k] - second
-        r = DAMPING * r + (1.0 - DAMPING) * r_new
+        np.add(np.multiply(DAMPING, r, out=r), np.multiply(1.0 - DAMPING, r_new, out=r_new), out=r)
 
         # availabilities
-        rp = np.maximum(r, 0.0)
+        rp = np.maximum(r, 0.0, out=scratch)
         np.fill_diagonal(rp, r.diagonal())
         col = rp.sum(axis=0)
-        a_new = col[None, :] - rp
+        a_new = np.subtract(col[None, :], rp, out=scratch)
         diag = a_new.diagonal().copy()
-        a_new = np.minimum(a_new, 0.0)
+        np.minimum(a_new, 0.0, out=a_new)
         np.fill_diagonal(a_new, diag)
-        a = DAMPING * a + (1.0 - DAMPING) * a_new
+        np.add(np.multiply(DAMPING, a, out=a), np.multiply(1.0 - DAMPING, a_new, out=a_new), out=a)
 
         current = (r.diagonal() + a.diagonal()) > 0
         stable = stable + 1 if np.array_equal(current, exemplars) else 0

@@ -194,15 +194,13 @@ def exp(a) -> Tensor:
     return _node(out_data, (a,), bwd)
 
 
-def tsum(a, axis: int | None = None) -> Tensor:
+def tsum(a) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis)
+    out_data = a.data.sum()
 
     def bwd(g):
-        if not a.needs_grad():
-            return
-        gg = g if axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg, a.data.shape))
+        if a.needs_grad():
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _node(out_data, (a,), bwd)
 

@@ -13,6 +13,7 @@ the mask. The honest threat model is documented in the README.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +37,16 @@ class MaskedParams:
     epoch_tag: int  # round index the mask was derived for
 
 
+@lru_cache(maxsize=4)
 def _mask_streams(sec: SecParams, round_index: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # one deterministic stream per (seed, round); dim is not part of the key
-    # so vectors of the wrong length cannot silently pair up later
+    # one deterministic stream per (seed, round), whatever dim, so vectors of the
+    # wrong length cannot silently pair up later; the cache hands the one draw
+    # to every upload of the round, so the arrays are read-only
     rng = np.random.default_rng([int(sec.shared_seed), int(round_index)])
-    signs = rng.integers(0, 2, size=dim) * 2 - 1
+    signs = (rng.integers(0, 2, size=dim) * 2 - 1).astype(np.float64)
     perm = rng.permutation(dim)
-    return signs.astype(np.float64), perm
+    signs.flags.writeable = perm.flags.writeable = False
+    return signs, perm
 
 
 def ssc_encrypt(params: np.ndarray, sec: SecParams, round_index: int, client_id: int) -> MaskedParams:

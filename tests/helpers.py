@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from disue import nn
+from disue.clustering import DAMPING, MAX_SWEEPS, STABLE_SWEEPS, ClusterPartition, SimilarityMatrix
 from disue.data import Dataset
 from disue.orchestrator import ClientShard, FederatedData
 
@@ -169,6 +170,17 @@ def clamp_min(a, low: float) -> nn.Tensor:
     return nn._node(np.maximum(a.data, low), (a,), bwd)
 
 
+def row_sum(a) -> nn.Tensor:
+    """Sum over the last axis, one value per row."""
+    a = nn.as_tensor(a)
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, np.broadcast_to(np.expand_dims(g, -1), a.data.shape))
+
+    return nn._node(a.data.sum(axis=-1), (a,), bwd)
+
+
 def take_per_row(a, index) -> nn.Tensor:
     """out[i] = a[i, index[i]] for a 2-d tensor."""
     a = nn.as_tensor(a)
@@ -208,7 +220,7 @@ def unfused_trunk(x, layers, tanh_out: bool = False) -> nn.Tensor:
 
 def unfused_kl_rows(p, q) -> nn.Tensor:
     p, q = nn.as_tensor(p), nn.as_tensor(q)
-    return nn.tsum(nn.mul(p, sub(log(clamp_min(p, 1e-12)), log(clamp_min(q, 1e-12)))), axis=-1)
+    return row_sum(nn.mul(p, sub(log(clamp_min(p, 1e-12)), log(clamp_min(q, 1e-12)))))
 
 
 def unfused_cross_entropy(logits, labels) -> nn.Tensor:
@@ -235,3 +247,69 @@ def unfused_weighted_kl(ps, q, weights) -> nn.Tensor:
 def unfused_stacked_log_likelihood(logits, labels, weights) -> nn.Tensor:
     """The label log-likelihood of each teacher's logits, one chain per teacher."""
     return per_teacher_chain([unfused_log_likelihood(z, labels, w) for z, w in zip(logits, weights)])
+
+
+# ---------------------------------------------------------------------------
+# affinity propagation with fresh arrays every sweep: the library sweeps
+# into preallocated buffers and must match this bit for bit
+
+
+def reference_affinity_propagation(sim: SimilarityMatrix, preference: float | None = None) -> ClusterPartition:
+    n = sim.n
+    off_diag = sim.values[~np.eye(n, dtype=bool)]
+    pref = float(np.median(off_diag)) if preference is None else float(preference)
+    s = sim.values.copy()
+    np.fill_diagonal(s, pref)
+
+    r = np.zeros((n, n))
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    exemplars = np.zeros(n, dtype=bool)
+    stable = 0
+    it = 0
+    for it in range(1, MAX_SWEEPS + 1):
+        # responsibilities
+        aps = a + s
+        first_k = np.argmax(aps, axis=1)
+        first = aps[idx, first_k]
+        aps[idx, first_k] = -np.inf
+        second = aps.max(axis=1)
+        r_new = s - first[:, None]
+        r_new[idx, first_k] = s[idx, first_k] - second
+        r = DAMPING * r + (1.0 - DAMPING) * r_new
+
+        # availabilities
+        rp = np.maximum(r, 0.0)
+        np.fill_diagonal(rp, r.diagonal())
+        col = rp.sum(axis=0)
+        a_new = col[None, :] - rp
+        diag = a_new.diagonal().copy()
+        a_new = np.minimum(a_new, 0.0)
+        np.fill_diagonal(a_new, diag)
+        a = DAMPING * a + (1.0 - DAMPING) * a_new
+
+        current = (r.diagonal() + a.diagonal()) > 0
+        stable = stable + 1 if np.array_equal(current, exemplars) else 0
+        exemplars = current
+        if stable >= STABLE_SWEEPS:
+            break
+
+    exemplar_idx = np.flatnonzero(exemplars)
+    fallback = exemplar_idx.size == 0
+    converged = stable >= STABLE_SWEEPS and not fallback
+    if fallback:
+        totals = sim.values.sum(axis=1)
+        exemplar_idx = np.array([int(np.argmax(totals))])
+
+    labels = np.argmax(sim.values[:, exemplar_idx], axis=1)
+    labels[exemplar_idx] = np.arange(exemplar_idx.size)
+    members: list[list[int]] = [[] for _ in range(exemplar_idx.size)]
+    for i in range(n):
+        members[labels[i]].append(sim.client_ids[i])
+    return ClusterPartition(
+        members=members,
+        exemplars=[sim.client_ids[int(e)] for e in exemplar_idx],
+        n_iterations=it,
+        converged=converged,
+        fallback=fallback,
+    )

@@ -181,12 +181,21 @@ def test_a_non_finite_float_in_the_config_file_exits_2(raw, payload, key, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "-nan"])
 def test_a_non_finite_flag_exits_2(raw, tmp_path, capsys):
-    # --epsilon=-inf, since argparse reads a separate "-inf" as an option
-    code = main(["run", "--config", write_tiny(tmp_path), f"--epsilon={raw}", "--out-dir", str(tmp_path / "out")])
+    # both as --epsilon=-inf and as a separate token, which begins with "-"
+    for flag in ([f"--epsilon={raw}"], ["--epsilon", raw]):
+        code = main(["run", "--config", write_tiny(tmp_path), *flag, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "config key 'epsilon' must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["-1e-3", "-.5", "-2", "-1E3"])
+def test_a_negative_flag_value_in_its_own_token_names_its_key(raw, tmp_path, capsys):
+    code = main(["run", "--config", write_tiny(tmp_path), "--epsilon", raw, "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert "config key 'epsilon' must be finite" in capsys.readouterr().err
+    assert "config key 'epsilon' must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

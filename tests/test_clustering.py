@@ -16,6 +16,7 @@ from disue.clustering import (
 )
 from disue.errors import InvalidInputError, PairingError
 from disue.secure import MaskedParams, SecParams, ssc_encrypt
+from helpers import reference_affinity_propagation
 
 
 def _mask_all(vectors, sec, rnd=0):
@@ -178,3 +179,55 @@ def test_singleton_partition():
     assert part.members == [[3, 1, 8]]
     with pytest.raises(InvalidInputError):
         singleton_partition([])
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _family_vectors(family, n, rng, dim=32):
+    if family == "gaussian":
+        return rng.normal(size=(n, dim))
+    if family == "planted":
+        k = int(rng.integers(1, max(2, n // 8) + 1))
+        centers = rng.normal(size=(k, dim))
+        return centers[rng.integers(0, k, size=n)] + rng.normal(scale=0.3, size=(n, dim))
+    if family == "near_identical":
+        return rng.normal(size=dim) + rng.normal(scale=1e-3, size=(n, dim))
+    # exact duplicates: a few distinct rows, each repeated, so the sweeps meet ties
+    distinct = rng.normal(size=(int(rng.integers(1, max(2, n // 4) + 1)), dim))
+    return distinct[rng.integers(0, len(distinct), size=n)]
+
+
+# (n, matrices per family); about 200 matrices in all
+ORACLE_SIZES = [(2, 10), (3, 10), (10, 15), (100, 10), (300, 5)]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "planted", "near_identical", "exact_duplicates"])
+def test_in_place_sweeps_match_the_allocating_reference(family):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for n, count in ORACLE_SIZES:
+        for case in range(count):
+            vectors = _unit_rows(_family_vectors(family, n, rng))
+            sim = build_similarity_matrix([MaskedParams(i, v, 0) for i, v in enumerate(vectors)])
+            # every third matrix takes a preference other than the median
+            pref = None if case % 3 else float(np.quantile(sim.values[~np.eye(n, dtype=bool)], rng.uniform()))
+            assert affinity_propagation(sim, pref) == reference_affinity_propagation(sim, pref), (n, case)
+
+
+# two A4 similarity matrices (seed 0 round 0, seed 1 round 2): the exemplar set keeps
+# flipping and is never stable for STABLE_SWEEPS sweeps, so both hit the 200-sweep cap
+A4_OSCILLATING = [
+    ("0x1.ff8809a9d284ap-1", "0x1.ffc6db3e47750p-1", "0x1.ffafbab103d03p-1"),
+    ("0x1.ffcbb38e779a9p-1", "0x1.ffc949e8698fap-1", "0x1.ff820039cddd4p-1"),
+]
+
+
+@pytest.mark.parametrize("entries", A4_OSCILLATING)
+def test_the_oscillating_a4_matrix_matches_the_reference(entries):
+    s01, s02, s12 = (float.fromhex(e) for e in entries)
+    values = np.array([[0.0, s01, s02], [s01, 0.0, s12], [s02, s12, 0.0]])
+    sim = SimilarityMatrix(values=values, client_ids=[0, 1, 2])
+    got = affinity_propagation(sim)
+    assert got == reference_affinity_propagation(sim)
+    assert got.n_iterations == 200 and not got.converged

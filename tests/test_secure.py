@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disue.errors import InvalidInputError, PairingError
-from disue.secure import MaskedParams, SecParams, ssc_compute, ssc_encrypt
+from disue.secure import MaskedParams, SecParams, _mask_streams, ssc_compute, ssc_encrypt
 
 
 def _cosine(a, b):
@@ -94,3 +94,39 @@ def test_encryption_is_deterministic():
     a = ssc_encrypt(vec, SecParams(5), 2, 0).masked_vector
     b = ssc_encrypt(vec, SecParams(5), 2, 0).masked_vector
     assert np.array_equal(a, b)
+
+
+def _fresh_mask(vec, seed, rnd):
+    """The mask drawn from scratch for one upload, with no shared state."""
+    rng = np.random.default_rng([seed, rnd])
+    signs = (rng.integers(0, 2, size=vec.size) * 2 - 1).astype(np.float64)
+    perm = rng.permutation(vec.size)
+    return (signs * (vec / np.linalg.norm(vec)))[perm]
+
+
+def test_one_mask_per_round_gives_the_same_bytes_cold_and_warm():
+    rng = np.random.default_rng(4)
+    vectors = [rng.normal(size=300) for _ in range(5)]
+    _mask_streams.cache_clear()
+    cold = [ssc_encrypt(v, SecParams(9), 2, cid).masked_vector for cid, v in enumerate(vectors)]
+    assert _mask_streams.cache_info().misses == 1  # drawn once, shared by every upload
+    warm = [ssc_encrypt(v, SecParams(9), 2, cid).masked_vector for cid, v in enumerate(vectors)]
+    for v, c, w in zip(vectors, cold, warm):
+        assert c.tobytes() == w.tobytes() == _fresh_mask(v, 9, 2).tobytes()
+
+
+def test_the_shared_mask_is_read_only():
+    signs, perm = _mask_streams(SecParams(9), 2, 16)
+    with pytest.raises(ValueError):
+        signs[0] = -signs[0]
+    with pytest.raises(ValueError):
+        perm[:2] = perm[1::-1]
+
+
+@pytest.mark.parametrize("seed, rnd, dim", [(9, 3, 64), (10, 2, 64), (9, 2, 65)])
+def test_another_round_seed_or_dimension_gets_its_own_mask(seed, rnd, dim):
+    vec = np.arange(1.0, dim + 1.0)
+    base = ssc_encrypt(vec[:64], SecParams(9), 2, 0).masked_vector  # warms the cache
+    other = ssc_encrypt(vec, SecParams(seed), rnd, 0).masked_vector
+    assert other.tobytes() == _fresh_mask(vec, seed, rnd).tobytes()
+    assert other.tobytes() != base.tobytes()
