@@ -57,9 +57,6 @@ class Tensor:
     def needs_grad(self) -> bool:
         return self.requires_grad or bool(self._parents)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'on' if self.needs_grad() else 'off'})"
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -200,7 +197,7 @@ def tsum(a) -> Tensor:
 
     def bwd(g):
         if a.needs_grad():
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
+            _accumulate(a, g)  # the scalar g broadcasts over a in the add
 
     return _node(out_data, (a,), bwd)
 
@@ -241,12 +238,13 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False) -> Tensor:
     """A dense trunk as one node: relu(h @ w + b) per hidden layer, then h @ w + b.
 
     With `tanh` the output passes through tanh. Layers with [K, in, out]
-    weights and [K, 1, out] biases (see `stack`) map a [batch, in] input to
-    [K, batch, out] with one np.matmul per layer. The backward replays the
-    numpy ops of the unfused matmul/add/relu/tanh chain in its order, so
-    values and gradients match it bit for bit, and it feeds only what that
-    chain would have fed: a frozen weight or a constant input gets nothing.
-    For a stack, the K gradients of the input are added in order k = 0..K-1.
+    weights and [K, 1, out] biases (see `stack`) map a [batch, in] input,
+    or a [K, batch, in] one, to [K, batch, out] with one np.matmul per
+    layer. The backward replays the numpy ops of the unfused
+    matmul/add/relu/tanh chain in its order, so values and gradients match
+    it bit for bit, and it feeds only what that chain would have fed: a
+    frozen weight or a constant input gets nothing. For a stack, the K
+    gradients of a [batch, in] input are added in order k = 0..K-1.
     """
     x = as_tensor(x)
     hs = [x.data]  # each layer's input
@@ -271,10 +269,10 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False) -> Tensor:
             if b.requires_grad:
                 _accumulate(b, _unbroadcast(g, b.data.shape))
             if w.requires_grad:
-                _accumulate(w, np.swapaxes(hs[i], -1, -2) @ g)
+                _accumulate(w, hs[i].swapaxes(-1, -2) @ g)
             if not feeds[i]:
                 return
-            g_in = g @ np.swapaxes(w.data, -1, -2)
+            g_in = g @ w.data.swapaxes(-1, -2)
             if i:
                 g = np.add(g_in * (hs[i] > 0), 0.0)
             elif g_in.ndim > x.data.ndim:
@@ -392,43 +390,46 @@ def kl_divergence(p, q) -> Tensor:
 
 
 def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """log softmax(logits)[..., i, labels[i]] per row, and the backward from a gradient on those values.
+    """log softmax(logits)[..., i, labels[..., i]] per row, and the backward from a gradient on those values.
 
-    Stacked logits carry a leading teacher axis. The backward replays the
-    unfused log_softmax/take_per_row chain.
+    Stacked logits carry a leading axis of K teachers or C clients, with
+    shared [batch] labels or [C, batch] ones. The backward takes any shape
+    that broadcasts to the values and replays the unfused
+    log_softmax/take_per_row chain.
     """
     if logits.data.ndim != 2 + stacked:
         raise InvalidInputError("expected [K, batch, classes] logits" if stacked else "expected [batch, classes] logits")
-    if not np.all(np.isfinite(logits.data)):
+    if not np.isfinite(logits.data).all():
         raise DivergenceError("non-finite logits in log_softmax")
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.data.shape[-2:]
-    if labels.shape != (n,):
+    if labels.shape not in ((n,), logits.data.shape[:-1]):
         raise InvalidInputError("one label per row required")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise InvalidInputError(f"label out of range [0, {c})")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(n)
+    index = (..., rows, labels) if labels.ndim == 1 else (np.arange(labels.shape[0])[:, None], rows, labels)
 
     def bwd(g_picked):
         g = np.zeros_like(log_probs)
-        g[..., rows, labels] += g_picked
+        g[index] += g_picked
         _accumulate(logits, g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True))
 
-    return log_probs[..., rows, labels], bwd
+    return log_probs[index], bwd
 
 
 def cross_entropy(logits, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits), one node."""
+    """Mean negative log-likelihood of integer labels under softmax(logits), one node; [C] means for a stack."""
     logits = as_tensor(logits)
-    picked, picked_bwd = _label_log_probs(logits, labels, stacked=False)
-    scale = np.asarray(-1.0 / picked.shape[0])
+    picked, picked_bwd = _label_log_probs(logits, labels, stacked=logits.data.ndim == 3)
+    scale = np.asarray(-1.0 / picked.shape[-1])
 
     def bwd(g):
-        picked_bwd(np.broadcast_to(np.add(g * scale, 0.0), picked.shape))
+        picked_bwd(np.add(g * scale, 0.0)[..., None])  # broadcast over each slice's rows
 
-    return _node(picked.sum() * scale, (logits,), bwd)
+    return _node(picked.sum(axis=-1) * scale, (logits,), bwd)
 
 
 def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
@@ -487,34 +488,39 @@ class Module:
         return sum(p.data.size for p in self.parameters())
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.parameters()])
+        """The parameters flattened in order: [P] for one model, [C, P] rows for a stack of C."""
+        lead = self.layers[0].w.data.shape[:-2]
+        return np.concatenate([p.data.reshape(*lead, -1) for p in self.parameters()], axis=-1)
 
     def load_param_vector(self, vec: np.ndarray) -> None:
+        """Load a flat [P] vector, or [C, P] rows as a stack: [C, in, out] weights, [C, 1, out] biases."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1 or vec.size != self.param_count:
+        if vec.ndim not in (1, 2) or vec.shape[-1] != self.param_count:
             raise InvalidInputError(f"expected a flat vector of {self.param_count} values, got shape {vec.shape}")
+        lead = vec.shape[:-1]
         offset = 0
         for p in self.parameters():
-            n = p.data.size
-            p.data = vec[offset : offset + n].reshape(p.data.shape).copy()
+            n, shape = p.data.size, p.data.shape
+            if lead and len(shape) == 1:
+                shape = (1, *shape)
+            p.data = vec[..., offset : offset + n].reshape(*lead, *shape).copy()
             offset += n
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
         """One SGD update with coupled weight decay: p <- p - lr * (g + weight_decay * p).
 
         Every gradient is allocated with its parameter's shape, so only its
-        finiteness is checked.
+        finiteness is checked, before any parameter moves. The update runs
+        the formula's ops in its order, in one buffer per parameter.
         """
-        for p in self.parameters():
-            if not np.all(np.isfinite(p.grad)):
-                raise DivergenceError("non-finite gradient")
-            p.data = p.data - lr * (p.grad + weight_decay * p.data)
-
-    def freeze(self) -> "Module":
-        for p in self.parameters():
-            p.requires_grad = False
-            p.grad = None
-        return self
+        params = self.parameters()
+        if not all(np.isfinite(p.grad).all() for p in params):
+            raise DivergenceError("non-finite gradient")
+        for p in params:
+            update = np.multiply(weight_decay, p.data)
+            np.add(p.grad, update, out=update)
+            np.multiply(lr, update, out=update)
+            p.data = np.subtract(p.data, update, out=update)
 
 
 class Classifier(Module):
@@ -536,12 +542,12 @@ class Classifier(Module):
 
     def forward(self, batch) -> Tensor:
         h = as_tensor(batch)
-        if h.data.ndim != 2 or h.data.shape[1] != self.in_dim:
+        if h.data.ndim not in (2, 3) or h.data.shape[-1] != self.in_dim:
             raise InvalidInputError(f"expected a [batch, {self.in_dim}] input, got shape {h.data.shape}")
         return mlp(h, self.layers)
 
     def spawn(self, vec: np.ndarray | None = None) -> "Classifier":
-        """A same-shape classifier, optionally loaded from a flat vector."""
+        """A same-shape classifier, optionally loaded from a flat vector; [C, P] rows give a stack of C."""
         twin = Classifier(self.in_dim, self.num_classes, self.hidden, rng=None)
         if vec is not None:
             twin.load_param_vector(vec)
@@ -549,16 +555,14 @@ class Classifier(Module):
 
 
 def stack(models: Sequence[Classifier]) -> Classifier:
-    """Same-shape classifiers as one frozen classifier, for forward passes only.
+    """Same-shape classifiers as one frozen stack, for forward passes only.
 
-    Its weights are [K, in, out] and its biases [K, 1, out], so `forward`
-    maps a [batch, in] input to [K, batch, classes] logits. Slice k equals
-    models[k].forward bit for bit.
+    `forward` maps a [batch, in] input to [K, batch, classes] logits, and
+    slice k equals models[k].forward bit for bit.
     """
-    stacked = models[0].spawn()
-    for i, layer in enumerate(stacked.layers):
-        layer.w = Tensor(np.stack([m.layers[i].w.data for m in models]))
-        layer.b = Tensor(np.stack([m.layers[i].b.data for m in models])[:, None, :])
+    stacked = models[0].spawn(np.stack([m.param_vector() for m in models]))
+    for p in stacked.parameters():
+        p.requires_grad, p.grad = False, None
     return stacked
 
 

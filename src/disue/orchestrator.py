@@ -3,7 +3,7 @@
 One round of the full pipeline:
 
   1. sample the active clients for the round,
-  2. each active client trains locally from its broadcast model,
+  2. the active clients train locally from their broadcast models,
   3. clients upload masked parameters; the server builds the similarity
      matrix and clusters the active set,
   4. clusters are aggregated into cluster models, cluster models into the
@@ -27,15 +27,17 @@ outside the state.
 
 Randomness is streamed per purpose: every consumer draws from a generator
 keyed by (master seed, purpose tag, round, client), so results do not
-depend on scheduling or worker count. Local training runs one client
-after another at any `workers` value, so results are bitwise identical at
-any worker count.
+depend on scheduling or worker count. Local training runs the clients
+whose training shards have one size as one stack, and each slice equals
+its client trained alone, bit for bit; `workers` changes nothing, so
+results are bitwise identical at any worker count.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +77,11 @@ _TAG_GEN_INIT = 5
 _TAG_ACTIVE = 6
 _TAG_LOCAL = 7
 _TAG_IGA = 8
+
+# clients per training stack: on the `cluster-300` benchmark (2 vCPUs) one
+# stack of 126 ran no faster than stacks of at most 64, and its [C, P]
+# buffers raised the peak memory by about 4 MiB
+_MAX_STACK = 64
 
 
 def stream(master_seed: int, tag: int, *extra: int) -> np.random.Generator:
@@ -146,47 +153,68 @@ def sample_active_clients(num_clients: int, act: float, round_index: int, master
     return np.sort(rng.choice(num_clients, size=count, replace=False)).astype(np.int64)
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Index batches for one epoch; full-batch runs skip the shuffle draw."""
-    if batch_size >= n:
-        yield np.arange(n)
-        return
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def local_train(
-    data: Dataset,
+    shards: Sequence[Dataset],
     init_params: np.ndarray,
     template: Classifier,
     epochs: int,
     lr: float,
     batch_size: int,
     weight_decay: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, bool]:
-    """Mini-batch SGD from the broadcast parameters on one client's shard.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Mini-batch SGD for C clients with shards of one size, trained as one stack.
 
-    Returns (parameters, mean training loss, diverged). A divergent client
-    reports its pre-training parameters instead of poisoning the round.
+    Client c starts from row c of the [C, P] init_params and draws its batch
+    order from rngs[c]; a full batch skips the draw. Each slice's values
+    equal the client's trained alone, bit for bit. Returns ([C, P]
+    parameters, [C] mean training losses, positions of the diverged
+    clients): a client whose logits, loss or gradient turn non-finite
+    leaves the stack with a copy of its initial row and a nan loss.
     """
-    if data.n < 1:
+    n = shards[0].n
+    if n < 1:
         raise InvalidInputError("cannot train on an empty shard")
+    if np.ndim(init_params) != 2 or len(init_params) != len(shards):
+        raise InvalidInputError(f"expected one initial row per shard, {len(shards)} in all, got shape {np.shape(init_params)}")
+    features, labels = np.stack([s.features for s in shards]), np.stack([s.labels for s in shards])
+    width = min(batch_size, n)
+    step_losses = np.empty((len(shards), epochs, -(-n // width)))
+    live = np.arange(len(shards))  # positions still in the stack
     model = template.spawn(init_params)
-    losses: list[float] = []
-    try:
-        for _ in range(epochs):
-            for idx in _batches(data.n, batch_size, rng):
-                loss = nn.cross_entropy(model.forward(data.features[idx]), data.labels[idx])
-                if not np.isfinite(loss.item()):
-                    raise DivergenceError("non-finite training loss")
-                losses.append(loss.item())
-                nn.backward(loss)
-                model.step(lr, weight_decay)
-    except DivergenceError:
-        return init_params.copy(), float("nan"), True
-    return model.param_vector(), float(np.mean(losses)), False
+    for epoch in range(epochs):
+        # each client draws its epoch's order at the epoch's start, as it would alone
+        draws = [rngs[c].permutation(n) if width < n else np.arange(n) for c in live]
+        order = np.array(draws, dtype=np.int64).reshape(live.size, n)
+        for step, start in enumerate(range(0, n, width)):
+            while live.size:
+                rows, idx = live[:, None], order[:, start : start + width]
+                logits = model.forward(features[rows, idx])
+                try:  # a client alone's finiteness checks, on the whole stack
+                    loss = nn.cross_entropy(logits, labels[rows, idx])
+                    if not np.isfinite(loss.data).all():
+                        raise DivergenceError("non-finite training loss")
+                    nn.backward(nn.tsum(loss))
+                    model.step(lr, weight_decay)
+                    step_losses[live, epoch, step] = loss.data
+                    break
+                except DivergenceError:  # the same checks per slice, in the same order
+                    bad = ~np.isfinite(logits.data).all(axis=(1, 2))
+                    if not bad.any():  # so this step's loss exists
+                        bad = ~np.isfinite(loss.data)
+                    if not bad.any():  # and so do its gradients
+                        bad = ~np.all([np.isfinite(p.grad).all(axis=(1, 2)) for p in model.parameters()], axis=0)
+                    # the failed step moved no parameter: replay it without the diverged slices
+                    live, order = live[~bad], order[~bad]
+                    model = template.spawn(model.param_vector()[~bad])
+    losses = np.full(len(shards), np.nan)
+    losses[live] = [np.mean(step_losses[c].ravel()) for c in live]  # over each client's own steps
+    if live.size == len(shards):  # no diverged row to fill, so no copy of the initial rows
+        return model.param_vector(), losses, ()
+    params = np.array(init_params, dtype=np.float64)
+    if live.size:
+        params[live] = model.param_vector()
+    return params, losses, tuple(np.setdiff1d(np.arange(len(shards)), live).tolist())
 
 
 def _evaluate(template: Classifier, params: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -268,29 +296,29 @@ class Simulation:
         )
 
     def _train_actives(self, state: SimState, actives: np.ndarray) -> tuple[dict[int, np.ndarray], float]:
-        cfg, r = self.cfg, state.round_index
-        params_by_client: dict[int, np.ndarray] = {}
-        losses = []
-        # serial at any worker count: threads take turns on this GIL-bound
-        # work, and a process pool measured no faster than run-to-run noise
+        cfg, r, clients = self.cfg, state.round_index, self.data.clients
+        groups: dict[int, list[int]] = {}  # never pad: only equal-size shards stack bit for bit
         for cid in actives.tolist():
-            params, loss, diverged = local_train(
-                self.data.clients[cid].train,
-                state.client_feed[cid] if self.spec.cluster_broadcast else state.global_params,
-                self.template,
-                cfg.local_epochs,
-                cfg.local_lr,
-                cfg.batch_size,
-                cfg.weight_decay,
-                stream(self.seed, _TAG_LOCAL, r, cid),
+            groups.setdefault(clients[cid].train.n, []).append(cid)
+        trained = {}
+        for ids in [group[i : i + _MAX_STACK] for group in groups.values() for i in range(0, len(group), _MAX_STACK)]:
+            if self.spec.cluster_broadcast:
+                init = np.stack([state.client_feed[cid] for cid in ids])
+            else:
+                init = np.broadcast_to(state.global_params, (len(ids), state.global_params.size))
+            shards, rngs = [clients[cid].train for cid in ids], [stream(self.seed, _TAG_LOCAL, r, cid) for cid in ids]
+            params, losses, diverged = local_train(
+                shards, init, self.template, cfg.local_epochs, cfg.local_lr, cfg.batch_size, cfg.weight_decay, rngs
             )
-            params_by_client[cid] = params
+            trained.update((cid, (params[i], losses[i], i in diverged)) for i, cid in enumerate(ids))
+        params_by_client, losses = {}, []
+        for cid in actives.tolist():  # in client-id order, whatever the groups
+            params_by_client[cid], loss, diverged = trained[cid]
             if diverged:
                 self.events.append(Event(r, "local_train", f"client {cid} diverged; kept broadcast parameters"))
             else:
                 losses.append(loss)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        return params_by_client, mean_loss
+        return params_by_client, float(np.mean(losses)) if losses else float("nan")
 
     def _cluster_actives(self, actives: np.ndarray, params_by_client: dict[int, np.ndarray], round_index: int) -> ClusterPartition:
         if actives.size < 2:

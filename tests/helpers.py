@@ -6,6 +6,7 @@ import numpy as np
 from disue import nn
 from disue.clustering import DAMPING, MAX_SWEEPS, STABLE_SWEEPS, ClusterPartition, SimilarityMatrix
 from disue.data import Dataset
+from disue.errors import DivergenceError, InvalidInputError
 from disue.orchestrator import ClientShard, FederatedData
 
 
@@ -51,6 +52,43 @@ def ref_kl(p: np.ndarray, q: np.ndarray) -> float:
 def ref_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     probs = ref_softmax(np.atleast_2d(logits))
     return float(-np.log(probs[np.arange(len(labels)), labels]).mean())
+
+
+def freeze(module: nn.Module) -> nn.Module:
+    """Stop every parameter of module from taking a gradient; returns module."""
+    for p in module.parameters():
+        p.requires_grad = False
+        p.grad = None
+    return module
+
+
+def reference_local_train(data: Dataset, init_params, template, epochs, lr, batch_size, weight_decay, rng):
+    """One client's local SGD, step by step: the oracle of the stacked `local_train`.
+
+    Returns (parameters, mean training loss, diverged); a divergent client
+    reports a copy of its pre-training parameters.
+    """
+    if data.n < 1:
+        raise InvalidInputError("cannot train on an empty shard")
+    model = template.spawn(init_params)
+    losses: list[float] = []
+    try:
+        for _ in range(epochs):
+            if batch_size >= data.n:
+                batches = [np.arange(data.n)]
+            else:
+                order = rng.permutation(data.n)
+                batches = [order[start : start + batch_size] for start in range(0, data.n, batch_size)]
+            for idx in batches:
+                loss = nn.cross_entropy(model.forward(data.features[idx]), data.labels[idx])
+                if not np.isfinite(loss.item()):
+                    raise DivergenceError("non-finite training loss")
+                losses.append(loss.item())
+                nn.backward(loss)
+                model.step(lr, weight_decay)
+    except DivergenceError:
+        return init_params.copy(), float("nan"), True
+    return model.param_vector(), float(np.mean(losses)), False
 
 
 def identical_client_data(n_clients: int, per_class: int, num_classes: int = 4) -> FederatedData:

@@ -23,6 +23,7 @@ from disue.distill import (
 )
 from disue.errors import ConfigError, DivergenceError, InvalidInputError
 from disue.nn import Classifier, Generator, Tensor, backward, cross_entropy
+from helpers import freeze
 
 
 def _uniform_gls(c=4):
@@ -150,7 +151,7 @@ def test_loss_cd_pulls_student_only():
     teacher, student, _ = _small_models()
     x = np.random.default_rng(6).normal(size=(6, 2))
     batch = _batch_from(x, np.zeros((6, 3)), np.arange(6) % 4)
-    teacher.freeze()
+    freeze(teacher)
     val = _cd([teacher], student, batch, _one_teacher_gwf())
     backward(val)
     assert any(np.any(p.grad != 0) for p in student.parameters())
@@ -159,7 +160,7 @@ def test_loss_cd_pulls_student_only():
 
 def test_loss_cf_reaches_the_generator_through_samples():
     teacher, _, gen = _small_models()
-    teacher.freeze()
+    freeze(teacher)
     labels = np.arange(6) % 4
     noise = np.random.default_rng(7).normal(size=(6, 8))
     batch = PseudoBatch(noise=noise, labels=labels, samples=gen.forward(noise, labels))

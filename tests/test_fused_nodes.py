@@ -11,6 +11,7 @@ import pytest
 
 from disue import nn
 from helpers import (
+    freeze,
     unfused_cross_entropy,
     unfused_stacked_log_likelihood,
     unfused_trunk,
@@ -66,8 +67,8 @@ def test_classifier_trunk_with_a_constant_input():
 
 def test_classifier_trunk_with_a_live_input_and_frozen_weights():
     rng = np.random.default_rng(1)
-    model = _classifier(2).freeze()
-    twin = _twin(model).freeze()
+    model = freeze(_classifier(2))
+    twin = freeze(_twin(model))
     data = rng.standard_normal((6, 3))
     x, x_plain = nn.Tensor(data, requires_grad=True), nn.Tensor(data, requires_grad=True)
     w = _weights_like((6, 4), rng)
@@ -99,7 +100,7 @@ def test_generator_trunk_with_tanh():
 def test_stacked_teachers_read_by_two_branches(k):
     """The generator step's shape: one stacked forward, read by a weighted KL and by a log-likelihood branch."""
     rng = np.random.default_rng(10 + k)
-    teachers = [_classifier(20 + i).freeze() for i in range(k)]
+    teachers = [freeze(_classifier(20 + i)) for i in range(k)]
     data = rng.standard_normal((9, 3))
     labels = rng.integers(0, 4, size=9)
     student_probs = _probability_rows(rng, (9, 4))

@@ -86,12 +86,12 @@ def test_local_train_learns_and_is_deterministic():
     shard = max(data.clients, key=lambda c: c.train.n)
     template = Classifier(2, 4, hidden=(16, 16))
     init = Classifier(2, 4, hidden=(16, 16), rng=np.random.default_rng(0)).param_vector()
-    out1 = local_train(shard.train, init, template, epochs=5, lr=0.1, batch_size=8, weight_decay=1e-3, rng=np.random.default_rng(3))
-    out2 = local_train(shard.train, init, template, epochs=5, lr=0.1, batch_size=8, weight_decay=1e-3, rng=np.random.default_rng(3))
-    params, loss, diverged = out1
-    assert not diverged and np.isfinite(loss)
+    out1 = local_train([shard.train], init[None], template, epochs=5, lr=0.1, batch_size=8, weight_decay=1e-3, rngs=[np.random.default_rng(3)])
+    out2 = local_train([shard.train], init[None], template, epochs=5, lr=0.1, batch_size=8, weight_decay=1e-3, rngs=[np.random.default_rng(3)])
+    params, losses, diverged = out1
+    assert not diverged and np.isfinite(losses[0])
     assert np.array_equal(params, out2[0])
-    assert not np.array_equal(params, init)
+    assert not np.array_equal(params[0], init)
 
 
 def test_full_batch_training_ignores_batch_size_excess():
@@ -101,8 +101,8 @@ def test_full_batch_training_ignores_batch_size_excess():
     shard = data.clients[0]
     template = Classifier(2, 4, hidden=(16, 16))
     init = Classifier(2, 4, hidden=(16, 16), rng=np.random.default_rng(0)).param_vector()
-    a = local_train(shard.train, init, template, 3, 0.1, shard.train.n, 0.0, np.random.default_rng(1))
-    b = local_train(shard.train, init, template, 3, 0.1, 10 * shard.train.n, 0.0, np.random.default_rng(2))
+    a = local_train([shard.train], init[None], template, 3, 0.1, shard.train.n, 0.0, [np.random.default_rng(1)])
+    b = local_train([shard.train], init[None], template, 3, 0.1, 10 * shard.train.n, 0.0, [np.random.default_rng(2)])
     assert np.array_equal(a[0], b[0])
 
 
@@ -112,11 +112,11 @@ def test_local_train_divergence_returns_broadcast_params():
     template = Classifier(2, 4, hidden=(16, 16))
     init = Classifier(2, 4, hidden=(16, 16), rng=np.random.default_rng(0)).param_vector()
     init[0] = np.nan
-    params, loss, diverged = local_train(shard.train, init, template, 2, 0.1, 8, 0.0, np.random.default_rng(0))
-    assert diverged
-    assert np.isnan(loss)
-    assert np.array_equal(params, init, equal_nan=True)
-    params[1] = 123.0  # returned copy must not alias the broadcast vector
+    params, losses, diverged = local_train([shard.train], init[None], template, 2, 0.1, 8, 0.0, [np.random.default_rng(0)])
+    assert diverged == (0,)
+    assert np.isnan(losses[0])
+    assert np.array_equal(params[0], init, equal_nan=True)
+    params[0, 1] = 123.0  # returned copy must not alias the broadcast vector
     assert init[1] != 123.0
 
 
