@@ -73,15 +73,17 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd: Callable[[np.ndarr
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add one gradient contribution to t.grad, allocating it on the first.
 
     The first contribution is written as 0.0 + g into a fresh array: g may be
     the upstream gradient itself or a view of it, and 0.0 + g has the bits
-    of a zero-filled accumulator, signed zeros included.
+    of a zero-filled accumulator, signed zeros included. An `owned` g is a
+    fresh array of t's shape that nothing else reads, so it takes the 0.0
+    in place and becomes the gradient.
     """
     if t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        t.grad = np.add(g, 0.0, out=g if owned else np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -234,25 +236,85 @@ def embedding_rows(table, index) -> Tensor:
     return _node(table.data[index], (table,), bwd)
 
 
-def mlp(x, layers: Sequence["Dense"], tanh: bool = False) -> Tensor:
+class Segments:
+    """The rows of C clients laid end to end in one [R, ...] array.
+
+    Client c owns widths[c] consecutive rows, in client order, and slice c
+    of a [C, ...] stacked parameter. Each run of adjacent clients of equal
+    width is one batched np.matmul of [clients, width, k] @ [clients, k, m],
+    whose slices equal the 2-d products bit for bit; padding ragged clients
+    to one width does not keep that. So order clients by width to make
+    few runs.
+    """
+
+    def __init__(self, widths: np.ndarray):
+        widths = np.asarray(widths, dtype=np.int64)
+        starts = np.flatnonzero(np.diff(widths, prepend=-1))  # the first client of each run
+        self.widths = widths
+        self.owner = np.repeat(np.arange(widths.size), widths)  # the client of each row
+        self.runs = []  # (client slice, row slice, clients, width) per run
+        row = 0
+        for first, end in zip(starts.tolist(), [*starts[1:].tolist(), widths.size]):
+            count, width = end - first, int(widths[first])
+            self.runs.append((slice(first, end), slice(row, row + count * width), count, width))
+            row += count * width
+
+    def matmul(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """[R, k] rows times each owner's [k, m] slice of a [C, k, m] stack: [R, m]."""
+        out = np.empty((self.owner.size, w.shape[-1]))
+        for clients, span, count, width in self.runs:
+            np.matmul(rows[span].reshape(count, width, -1), w[clients], out=out[span].reshape(count, width, -1))
+        return out
+
+    def outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a_c.T @ b_c per client, from [R, k] and [R, m] rows: [C, k, m]."""
+        out = np.empty((self.widths.size, a.shape[-1], b.shape[-1]))
+        for clients, span, count, width in self.runs:
+            np.matmul(a[span].reshape(count, width, -1).swapaxes(-1, -2), b[span].reshape(count, width, -1), out=out[clients])
+        return out
+
+    def sum(self, rows: np.ndarray) -> np.ndarray:
+        """Each client's rows summed, [R, ...] to [C, ...]; one row passes through, as `_unbroadcast` leaves it."""
+        out = np.empty((self.widths.size, *rows.shape[1:]))
+        for clients, span, count, width in self.runs:
+            part = rows[span].reshape(count, width, *rows.shape[1:])
+            if width > 1:
+                np.add.reduce(part, axis=1, out=out[clients])
+            else:
+                out[clients] = part[:, 0]
+        return out
+
+
+def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | None = None) -> Tensor:
     """A dense trunk as one node: relu(h @ w + b) per hidden layer, then h @ w + b.
 
     With `tanh` the output passes through tanh. Layers with [K, in, out]
-    weights and [K, 1, out] biases (see `stack`) map a [batch, in] input,
-    or a [K, batch, in] one, to [K, batch, out] with one np.matmul per
-    layer. The backward replays the numpy ops of the unfused
-    matmul/add/relu/tanh chain in its order, so values and gradients match
-    it bit for bit, and it feeds only what that chain would have fed: a
-    frozen weight or a constant input gets nothing. For a stack, the K
-    gradients of a [batch, in] input are added in order k = 0..K-1.
+    weights and [K, 1, out] biases (see `stack`) map a [batch, in] input
+    to [K, batch, out] with one np.matmul per layer. With `segments`, x
+    holds the [R, in] rows of the C clients of a [C, in, out] stack, and
+    each client's rows go through its own slice: the matmuls run once per
+    run of equal width, everything else once over all rows. The backward
+    replays the numpy ops of the unfused matmul/add/relu/tanh chain in its
+    order, so values and gradients match it bit for bit, and it feeds only
+    what that chain would have fed: a frozen weight or a constant input
+    gets nothing. For a stack, the K gradients of a [batch, in] input are
+    added in order k = 0..K-1.
     """
     x = as_tensor(x)
+
+    def affine(h, layer):
+        if segments is None:
+            return h @ layer.w.data + layer.b.data
+        out = segments.matmul(h, layer.w.data)
+        out += layer.b.data[segments.owner, 0]  # each row's owner's bias
+        return out
+
     hs = [x.data]  # each layer's input
     for layer in layers[:-1]:
         # np.maximum, not np.where: a nan input must poison the output, not
         # silently turn into 0 and hide a diverged model
-        hs.append(np.maximum(hs[-1] @ layer.w.data + layer.b.data, 0.0))
-    out = hs[-1] @ layers[-1].w.data + layers[-1].b.data
+        hs.append(np.maximum(affine(hs[-1], layer), 0.0))
+    out = affine(hs[-1], layers[-1])
     if tanh:
         out = np.tanh(out)
 
@@ -267,12 +329,16 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False) -> Tensor:
         for i in range(len(layers) - 1, -1, -1):
             w, b = layers[i].w, layers[i].b
             if b.requires_grad:
-                _accumulate(b, _unbroadcast(g, b.data.shape))
+                if segments is None:
+                    _accumulate(b, _unbroadcast(g, b.data.shape))
+                else:
+                    _accumulate(b, segments.sum(g)[:, None], owned=True)
             if w.requires_grad:
-                _accumulate(w, hs[i].swapaxes(-1, -2) @ g)
+                _accumulate(w, hs[i].swapaxes(-1, -2) @ g if segments is None else segments.outer(hs[i], g), owned=True)
             if not feeds[i]:
                 return
-            g_in = g @ w.data.swapaxes(-1, -2)
+            w_t = w.data.swapaxes(-1, -2)
+            g_in = g @ w_t if segments is None else segments.matmul(g, w_t)
             if i:
                 g = np.add(g_in * (hs[i] > 0), 0.0)
             elif g_in.ndim > x.data.ndim:
@@ -390,12 +456,11 @@ def kl_divergence(p, q) -> Tensor:
 
 
 def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """log softmax(logits)[..., i, labels[..., i]] per row, and the backward from a gradient on those values.
+    """log softmax(logits)[..., i, labels[i]] per row, and the backward from a gradient on those values.
 
-    Stacked logits carry a leading axis of K teachers or C clients, with
-    shared [batch] labels or [C, batch] ones. The backward takes any shape
-    that broadcasts to the values and replays the unfused
-    log_softmax/take_per_row chain.
+    Stacked logits carry a leading axis of K teachers that share the
+    [batch] labels. The backward takes any shape that broadcasts to the
+    values and replays the unfused log_softmax/take_per_row chain.
     """
     if logits.data.ndim != 2 + stacked:
         raise InvalidInputError("expected [K, batch, classes] logits" if stacked else "expected [batch, classes] logits")
@@ -403,14 +468,13 @@ def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray,
         raise DivergenceError("non-finite logits in log_softmax")
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.data.shape[-2:]
-    if labels.shape not in ((n,), logits.data.shape[:-1]):
+    if labels.shape != (n,):
         raise InvalidInputError("one label per row required")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise InvalidInputError(f"label out of range [0, {c})")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    rows = np.arange(n)
-    index = (..., rows, labels) if labels.ndim == 1 else (np.arange(labels.shape[0])[:, None], rows, labels)
+    index = (..., np.arange(n), labels)
 
     def bwd(g_picked):
         g = np.zeros_like(log_probs)
@@ -420,16 +484,25 @@ def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray,
     return log_probs[index], bwd
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits), one node; [C] means for a stack."""
+def cross_entropy(logits, labels, segments: Segments | None = None) -> Tensor:
+    """Mean negative log-likelihood of integer labels under softmax(logits), one node.
+
+    With `segments`, the [R, classes] logits are the rows of C clients and
+    the value is the [C] per-client means, each taken as a client alone
+    would: its own sum, times -1/width.
+    """
     logits = as_tensor(logits)
-    picked, picked_bwd = _label_log_probs(logits, labels, stacked=logits.data.ndim == 3)
-    scale = np.asarray(-1.0 / picked.shape[-1])
+    picked, picked_bwd = _label_log_probs(logits, labels, stacked=False)
+    if segments is None:
+        total, scale = picked.sum(), np.asarray(-1.0 / picked.size)
+    else:
+        total, scale = segments.sum(picked), -1.0 / segments.widths
 
     def bwd(g):
-        picked_bwd(np.add(g * scale, 0.0)[..., None])  # broadcast over each slice's rows
+        g = np.add(g * scale, 0.0)
+        picked_bwd(g if segments is None else g[segments.owner])  # each client's gradient on its rows
 
-    return _node(picked.sum(axis=-1) * scale, (logits,), bwd)
+    return _node(total * scale, (logits,), bwd)
 
 
 def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
@@ -540,11 +613,12 @@ class Classifier(Module):
         self.hidden = tuple(hidden)
         super().__init__([in_dim, *self.hidden, num_classes], rng)
 
-    def forward(self, batch) -> Tensor:
+    def forward(self, batch, segments: Segments | None = None) -> Tensor:
+        """Logits of a [batch, in] input; with `segments`, of the rows of a stack's clients (see `mlp`)."""
         h = as_tensor(batch)
-        if h.data.ndim not in (2, 3) or h.data.shape[-1] != self.in_dim:
+        if h.data.ndim != 2 or h.data.shape[-1] != self.in_dim:
             raise InvalidInputError(f"expected a [batch, {self.in_dim}] input, got shape {h.data.shape}")
-        return mlp(h, self.layers)
+        return mlp(h, self.layers, segments=segments)
 
     def spawn(self, vec: np.ndarray | None = None) -> "Classifier":
         """A same-shape classifier, optionally loaded from a flat vector; [C, P] rows give a stack of C."""

@@ -28,9 +28,10 @@ outside the state.
 Randomness is streamed per purpose: every consumer draws from a generator
 keyed by (master seed, purpose tag, round, client), so results do not
 depend on scheduling or worker count. Local training runs the clients
-whose training shards have one size as one stack, and each slice equals
-its client trained alone, bit for bit; `workers` changes nothing, so
-results are bitwise identical at any worker count.
+that take one number of SGD steps per epoch as one ragged stack (every
+full-batch client, whatever its shard size, steps once per epoch), and
+each slice equals its client trained alone, bit for bit; `workers`
+changes nothing, so results are bitwise identical at any worker count.
 """
 from __future__ import annotations
 
@@ -79,8 +80,9 @@ _TAG_LOCAL = 7
 _TAG_IGA = 8
 
 # clients per training stack: on the `cluster-300` benchmark (2 vCPUs) one
-# stack of 126 ran no faster than stacks of at most 64, and its [C, P]
-# buffers raised the peak memory by about 4 MiB
+# ragged stack of all 260 full-batch clients trained slower than stacks of
+# at most 64 (about 30 against 23 ms per round), and its [C, P] buffers
+# raised the peak memory by about 7.5 MiB
 _MAX_STACK = 64
 
 
@@ -161,57 +163,78 @@ def local_train(
     lr: float,
     batch_size: int,
     weight_decay: float,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator | None],
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Mini-batch SGD for C clients with shards of one size, trained as one stack.
+    """Mini-batch SGD for C clients that take one number of steps per epoch, trained as one stack.
 
-    Client c starts from row c of the [C, P] init_params and draws its batch
-    order from rngs[c]; a full batch skips the draw. Each slice's values
-    equal the client's trained alone, bit for bit. Returns ([C, P]
-    parameters, [C] mean training losses, positions of the diverged
-    clients): a client whose logits, loss or gradient turn non-finite
-    leaves the stack with a copy of its initial row and a nan loss.
+    Client c starts from row c of the [C, P] init_params. A client whose
+    shard is larger than a batch draws its batch order from rngs[c]; a full
+    batch draws nothing, so its entry may be None. Each step trains every
+    client's batch as the rows of one ragged stack (`nn.Segments`), and
+    each slice's values equal the client's trained alone, bit for bit.
+    Shards in order of size make the fewest runs of equal batch width.
+    Returns (C-contiguous [C, P] parameters, [C] mean training losses,
+    positions of the diverged clients): a client whose logits, loss or
+    gradient turn non-finite leaves the stack with a copy of its initial
+    row and a nan loss.
     """
-    n = shards[0].n
-    if n < 1:
+    sizes = np.array([s.n for s in shards], dtype=np.int64)
+    if sizes.min() < 1:
         raise InvalidInputError("cannot train on an empty shard")
     if np.ndim(init_params) != 2 or len(init_params) != len(shards):
         raise InvalidInputError(f"expected one initial row per shard, {len(shards)} in all, got shape {np.shape(init_params)}")
-    features, labels = np.stack([s.features for s in shards]), np.stack([s.labels for s in shards])
-    width = min(batch_size, n)
-    step_losses = np.empty((len(shards), epochs, -(-n // width)))
+    steps = -(-sizes // batch_size)
+    if np.any(steps != steps[0]):
+        raise InvalidInputError(f"a stack takes one number of steps per epoch, got {sorted(set(steps.tolist()))}")
+    steps = int(steps[0])
+    features, labels = np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards])
+    first = np.cumsum(sizes) - sizes  # each client's first row in the pooled shards
+    # each client's epoch order as pooled rows, padded with -1 after its last
+    slots = np.arange(steps * batch_size)
+    order = np.where(slots < sizes[:, None], first[:, None] + slots, -1)
+    step_losses = np.empty((len(shards), epochs, steps))
     live = np.arange(len(shards))  # positions still in the stack
+
+    def step_segments(live: np.ndarray) -> list[nn.Segments]:  # each step's batch widths: full batches, then the rest
+        return [nn.Segments(np.full(live.size, batch_size))] * (steps - 1) + [nn.Segments(sizes[live] - (steps - 1) * batch_size)]
+
+    segments = step_segments(live)
     model = template.spawn(init_params)
     for epoch in range(epochs):
-        # each client draws its epoch's order at the epoch's start, as it would alone
-        draws = [rngs[c].permutation(n) if width < n else np.arange(n) for c in live]
-        order = np.array(draws, dtype=np.int64).reshape(live.size, n)
-        for step, start in enumerate(range(0, n, width)):
+        if steps > 1:  # each client draws its epoch's order at the epoch's start, as it would alone
+            for row, c in zip(order, live):
+                row[: sizes[c]] = first[c] + rngs[c].permutation(sizes[c])
+        for step in range(steps):
             while live.size:
-                rows, idx = live[:, None], order[:, start : start + width]
-                logits = model.forward(features[rows, idx])
+                batch = order[:, step * batch_size : (step + 1) * batch_size]
+                rows = batch[batch >= 0]
+                logits = model.forward(features[rows], segments[step])
                 try:  # a client alone's finiteness checks, on the whole stack
-                    loss = nn.cross_entropy(logits, labels[rows, idx])
+                    loss = nn.cross_entropy(logits, labels[rows], segments[step])
                     if not np.isfinite(loss.data).all():
                         raise DivergenceError("non-finite training loss")
                     nn.backward(nn.tsum(loss))
                     model.step(lr, weight_decay)
                     step_losses[live, epoch, step] = loss.data
                     break
-                except DivergenceError:  # the same checks per slice, in the same order
-                    bad = ~np.isfinite(logits.data).all(axis=(1, 2))
+                except DivergenceError:  # the same checks per client, in the same order
+                    bad = np.zeros(live.size, dtype=bool)
+                    bad[segments[step].owner[~np.isfinite(logits.data).all(axis=1)]] = True
                     if not bad.any():  # so this step's loss exists
                         bad = ~np.isfinite(loss.data)
                     if not bad.any():  # and so do its gradients
                         bad = ~np.all([np.isfinite(p.grad).all(axis=(1, 2)) for p in model.parameters()], axis=0)
-                    # the failed step moved no parameter: replay it without the diverged slices
+                    # the failed step moved no parameter: replay it without the diverged clients
                     live, order = live[~bad], order[~bad]
+                    segments = step_segments(live)
                     model = template.spawn(model.param_vector()[~bad])
+    for p in model.parameters():  # spent: free them before the rows are copied out
+        p.grad = None
     losses = np.full(len(shards), np.nan)
     losses[live] = [np.mean(step_losses[c].ravel()) for c in live]  # over each client's own steps
-    if live.size == len(shards):  # no diverged row to fill, so no copy of the initial rows
+    if live.size == len(shards):  # no diverged row to fill
         return model.param_vector(), losses, ()
-    params = np.array(init_params, dtype=np.float64)
+    params = np.array(init_params, dtype=np.float64, order="C")  # a diverged client keeps a copy of its row
     if live.size:
         params[live] = model.param_vector()
     return params, losses, tuple(np.setdiff1d(np.arange(len(shards)), live).tolist())
@@ -297,16 +320,18 @@ class Simulation:
 
     def _train_actives(self, state: SimState, actives: np.ndarray) -> tuple[dict[int, np.ndarray], float]:
         cfg, r, clients = self.cfg, state.round_index, self.data.clients
-        groups: dict[int, list[int]] = {}  # never pad: only equal-size shards stack bit for bit
-        for cid in actives.tolist():
-            groups.setdefault(clients[cid].train.n, []).append(cid)
+        groups: dict[int, list[int]] = {}  # clients that take one number of steps per epoch train in lockstep
+        for cid in sorted(actives.tolist(), key=lambda cid: clients[cid].train.n):  # so equal batch widths are adjacent
+            groups.setdefault(-(-clients[cid].train.n // cfg.batch_size), []).append(cid)
         trained = {}
         for ids in [group[i : i + _MAX_STACK] for group in groups.values() for i in range(0, len(group), _MAX_STACK)]:
             if self.spec.cluster_broadcast:
                 init = np.stack([state.client_feed[cid] for cid in ids])
             else:
                 init = np.broadcast_to(state.global_params, (len(ids), state.global_params.size))
-            shards, rngs = [clients[cid].train for cid in ids], [stream(self.seed, _TAG_LOCAL, r, cid) for cid in ids]
+            shards = [clients[cid].train for cid in ids]
+            # a full-batch client never draws its batch order, so it gets no stream
+            rngs = [stream(self.seed, _TAG_LOCAL, r, cid) if shard.n > cfg.batch_size else None for cid, shard in zip(ids, shards)]
             params, losses, diverged = local_train(
                 shards, init, self.template, cfg.local_epochs, cfg.local_lr, cfg.batch_size, cfg.weight_decay, rngs
             )

@@ -226,3 +226,32 @@ def test_a_second_consumer_of_the_trunk_input():
 
     assert run(model.forward) == run(lambda x: unfused_trunk(x, twin.layers))
     assert _grads(model) == _grads(twin)
+
+
+# runs of equal width, adjacent and apart; widths 9 and 12 run the
+# loss sum past numpy's 8-way unrolled pairwise sum
+SEGMENT_WIDTHS = [[5], [1, 1, 1], [1, 1, 2, 3, 3, 9], [12, 2, 2, 1, 12]]
+
+
+@pytest.mark.parametrize("widths", SEGMENT_WIDTHS)
+def test_a_segmented_trunk_and_loss_match_each_client_alone(widths):
+    """Client c's rows through slice c of a stack give its values and gradients bit for bit."""
+    rng = np.random.default_rng(len(widths))
+    models = [_classifier(seed) for seed in range(len(widths))]
+    stack = models[0].spawn(np.stack([m.param_vector() for m in models]))
+    segments = nn.Segments(np.array(widths))
+    x = nn.Tensor(rng.standard_normal((sum(widths), 3)), requires_grad=True)
+    labels = rng.integers(0, 4, size=sum(widths))
+    loss = nn.cross_entropy(stack.forward(x, segments), labels, segments)
+    nn.backward(nn.tsum(loss))
+
+    start = 0
+    for c, (model, width) in enumerate(zip(models, widths)):
+        rows = slice(start, start + width)
+        x_c = nn.Tensor(x.data[rows], requires_grad=True)
+        loss_c = nn.cross_entropy(model.forward(x_c), labels[rows])
+        nn.backward(loss_c)
+        assert _bits(loss.data[c]) == _bits(loss_c.data)
+        assert [_bits(p.grad[c].reshape(q.grad.shape)) for p, q in zip(stack.parameters(), model.parameters())] == _grads(model)
+        assert _bits(x.grad[rows]) == _bits(x_c.grad)
+        start += width

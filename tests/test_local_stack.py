@@ -1,6 +1,8 @@
 """Stacked local training against the per-client loop, bit for bit.
 
-`local_train` trains C clients whose shards have one size as one stack.
+`local_train` trains C clients that take one number of steps per epoch
+as one ragged stack: shards of any sizes up to a batch (full batch), or
+mini-batch shards whose last batches differ in width.
 `reference_local_train` in helpers.py trains one client at a time, step
 by step, and is the oracle: every slice's parameters, mean loss and
 diverged flag must equal the oracle's for that client alone, also when
@@ -43,8 +45,8 @@ CASES = [
 ]
 
 
-def _shards(rng: np.random.Generator, clients: int, n: int) -> list[Dataset]:
-    return [Dataset(rng.normal(size=(n, IN_DIM)), rng.integers(0, CLASSES, size=n), CLASSES) for _ in range(clients)]
+def _shards(rng: np.random.Generator, sizes: list[int]) -> list[Dataset]:
+    return [Dataset(rng.normal(size=(n, IN_DIM)), rng.integers(0, CLASSES, size=n), CLASSES) for n in sizes]
 
 
 def _rows(rng: np.random.Generator, template: Classifier, clients: int) -> np.ndarray:
@@ -75,9 +77,46 @@ def _check_against_oracle(shards, rows, template, epochs, batch_size, seed, lr=0
 def test_stack_matches_clients_trained_alone(seed, clients, n, epochs, batch_size, hidden):
     rng = np.random.default_rng(seed)
     template = Classifier(IN_DIM, CLASSES, (hidden, hidden))
-    shards = _shards(rng, clients, n)
+    shards = _shards(rng, [n] * clients)
     _, losses, diverged = _check_against_oracle(shards, _rows(rng, template, clients), template, epochs, batch_size, seed)
     assert diverged == () and np.all(np.isfinite(losses))
+
+
+# (seed, shard sizes, epochs, batch size, hidden width): full-batch stacks
+# with sizes repeated and unique, in no order, and mini-batch stacks whose
+# clients take equal step counts with last batches of different widths
+SIZES_64 = np.random.default_rng(64).integers(1, 51, size=64).tolist()
+RAGGED_CASES = [
+    (20, [7, 1, 50, 3, 1, 12, 3, 2, 3], 3, 50, 16),
+    (21, [2, 1], 1, 2, 64),
+    (22, SIZES_64, 2, 50, 16),
+    (23, SIZES_64[:40], 1, 64, 64),
+    (24, [60, 70, 60, 100, 51], 2, 50, 16),
+    (25, [24, 17, 20, 17, 23, 22, 18, 19, 21, 24], 3, 8, 64),
+    (26, [120, 101, 111], 1, 50, 16),
+]
+
+
+@pytest.mark.parametrize("init", ["rows", "broadcast"])
+@pytest.mark.parametrize("seed, sizes, epochs, batch_size, hidden", RAGGED_CASES)
+def test_a_ragged_stack_matches_clients_trained_alone(seed, sizes, epochs, batch_size, hidden, init):
+    """Distinct rows are how cfl_only starts its clients, a broadcast view how every other variant does."""
+    rng = np.random.default_rng(seed)
+    template = Classifier(IN_DIM, CLASSES, (hidden, hidden))
+    shards = _shards(rng, sizes)
+    rows = _rows(rng, template, len(sizes))
+    if init == "broadcast":
+        rows = np.broadcast_to(rows[0], rows.shape)
+    params, losses, diverged = _check_against_oracle(shards, rows, template, epochs, batch_size, seed)
+    assert diverged == () and np.all(np.isfinite(losses))
+    assert params.flags.c_contiguous
+
+
+def test_a_stack_takes_one_number_of_steps_per_epoch():
+    template = Classifier(IN_DIM, CLASSES, (8, 8))
+    shards = _shards(np.random.default_rng(0), [4, 5])
+    with pytest.raises(InvalidInputError, match="one number of steps per epoch"):
+        local_train(shards, np.zeros((2, template.param_count)), template, 1, 0.1, 4, 0.0, [None, None])
 
 
 def test_an_empty_shard_cannot_train():
@@ -90,7 +129,7 @@ def test_an_empty_shard_cannot_train():
 @pytest.mark.parametrize("rows", [lambda p: np.zeros(p), lambda p: np.zeros((1, p)), lambda p: np.zeros((3, p))])
 def test_a_stack_takes_one_initial_row_per_shard(rows):
     template = Classifier(IN_DIM, CLASSES, (8, 8))
-    shards = _shards(np.random.default_rng(0), 2, 4)
+    shards = _shards(np.random.default_rng(0), [4, 4])
     with pytest.raises(InvalidInputError, match="one initial row per shard"):
         local_train(shards, rows(template.param_count), template, 1, 0.1, 8, 0.0, [None, None])
 
@@ -132,7 +171,7 @@ ignore_overflow_warnings = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverged_client_leaves_the_stack(poison, batch_size):
     rng = np.random.default_rng(17)
     template = Classifier(IN_DIM, CLASSES, (16, 16))
-    shards = _shards(rng, 6, 10)
+    shards = _shards(rng, [10] * 6)
     rows = _rows(rng, template, 6)
     poison(shards, rows, template, victim=2)
     poisoned_row = rows[2].copy()
@@ -144,11 +183,49 @@ def test_a_diverged_client_leaves_the_stack(poison, batch_size):
 
 
 @ignore_overflow_warnings
+@pytest.mark.parametrize("poison", [_poison_features, _poison_loss, _poison_gradient])
+@pytest.mark.parametrize(
+    "sizes, batch_size, victim",
+    [
+        ([3, 10, 1, 10, 5, 2, 10], 50, 3),  # full batch, a size the victim shares
+        ([3, 10, 1, 10, 5, 2, 10], 50, 4),  # full batch, a size of its own
+        ([9, 12, 10, 11, 12], 4, 1),  # three mini-batches, last widths 1 to 4
+    ],
+)
+def test_a_diverged_client_leaves_a_ragged_stack(poison, sizes, batch_size, victim):
+    rng = np.random.default_rng(29)
+    template = Classifier(IN_DIM, CLASSES, (16, 16))
+    shards = _shards(rng, sizes)
+    rows = _rows(rng, template, len(sizes))
+    poison(shards, rows, template, victim=victim)
+    poisoned_row = rows[victim].copy()
+    params, losses, diverged = _check_against_oracle(shards, rows, template, 2, batch_size, seed=8)
+    assert diverged == (victim,)
+    assert np.isnan(losses[victim]) and np.all(np.isfinite(np.delete(losses, victim)))
+    assert _bits(params[victim]) == _bits(poisoned_row)
+
+
+@ignore_overflow_warnings
+def test_a_diverged_client_of_a_broadcast_stack_returns_contiguous_rows():
+    """np.array of a broadcast view is F-ordered; the rows handed back must not be."""
+    rng = np.random.default_rng(31)
+    template = Classifier(IN_DIM, CLASSES, (16, 16))
+    shards = _shards(rng, [4, 2, 4, 7])
+    base = _rows(rng, template, 1)
+    shards[2].features[0, 0] = np.nan
+    init = np.broadcast_to(base[0], (4, base.shape[1]))
+    params, _, diverged = _check_against_oracle(shards, init, template, 2, 8, seed=3)
+    assert diverged == (2,)
+    assert params.flags.c_contiguous
+    assert _bits(params[2]) == _bits(base[0])
+
+
+@ignore_overflow_warnings
 def test_the_poisoned_rows_trip_the_check_they_are_named_for():
     template = Classifier(IN_DIM, CLASSES, (16, 16))
     for poison, logits_ok, loss_ok in [(_poison_features, False, False), (_poison_loss, True, False), (_poison_gradient, True, True)]:
         rng = np.random.default_rng(17)
-        shards, rows = _shards(rng, 1, 10), _rows(rng, template, 1)
+        shards, rows = _shards(rng, [10]), _rows(rng, template, 1)
         poison(shards, rows, template, victim=0)
         logits = template.spawn(rows[0]).forward(shards[0].features)
         assert np.all(np.isfinite(logits.data)) == logits_ok
@@ -160,7 +237,7 @@ def test_the_poisoned_rows_trip_the_check_they_are_named_for():
 def test_every_client_of_a_stack_can_diverge():
     rng = np.random.default_rng(3)
     template = Classifier(IN_DIM, CLASSES, (8, 8))
-    shards = _shards(rng, 3, 5)
+    shards = _shards(rng, [5] * 3)
     for shard in shards:
         shard.features[0, 1] = np.inf
     rows = _rows(rng, template, 3)
@@ -179,18 +256,10 @@ def test_a_nan_in_a_cluster_feed_row_diverges_that_client_alone():
     )
     sim = Simulation(cfg, seed=4)
     actives = sample_active_clients(cfg.clients, cfg.act, 0, sim.seed)
-    sizes = {cid: sim.data.clients[cid].train.n for cid in actives.tolist()}
-    groups: dict[int, list[int]] = {}
-    for cid, n in sizes.items():
-        groups.setdefault(n, []).append(cid)
-    # a late member of an early group and an early member of a later group,
-    # so the groups run in the other order than the two ids
-    early, late = next(
-        (g2[0], g1[-1])
-        for g1 in groups.values()
-        for g2 in groups.values()
-        if len(g1) > 1 and len(g2) > 1 and g1[0] < g2[0] < g1[-1]
-    )
+    steps = {cid: -(-sim.data.clients[cid].train.n // cfg.batch_size) for cid in actives.tolist()}
+    # stacks run in order of step count: an early id that takes more steps
+    # than a late one trains after it, and both draw batch orders
+    early, late = next((a, b) for a in steps for b in steps if a < b and steps[a] > steps[b] > 1)
     rng = np.random.default_rng(0)
     feed = {cid: row + 0.01 * rng.normal(size=row.size) for cid, row in sim.state.client_feed.items()}
     for cid in (early, late):
