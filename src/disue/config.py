@@ -150,6 +150,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     # the held-out count per class, as split_dataset computes it
     held_out = int(round(ds.test_fraction * ds.samples_per_class))
     _require(held_out >= 1, "dataset.test_fraction", "must hold out at least one sample per class")
+    pool = ds.num_classes * (ds.samples_per_class - held_out)
+    _require(cfg.clients <= pool, "clients", f"must be at most {pool}, so each client gets one of the {pool} training samples")
     _require(0.0 <= ds.holdout_fraction < 1.0, "dataset.holdout_fraction", "must be in [0, 1)")
     d = cfg.distill
     for key in ("noise_dim", "pseudo_batch", "inner_iters", "gen_steps", "student_steps", "label_embed_dim", "gen_hidden_dim"):

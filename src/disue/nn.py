@@ -267,21 +267,22 @@ class Segments:
         return out
 
     def outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a_c.T @ b_c per client, from [R, k] and [R, m] rows: [C, k, m]."""
+        """a_c.T @ b_c per client, from [R, k] and [R, m] rows: [C, k, m].
+
+        A width-1 run is a broadcast product, faster than a k = 1 matmul and
+        equal to it, signed zeros aside, once `_accumulate` adds 0.0.
+        """
         out = np.empty((self.widths.size, a.shape[-1], b.shape[-1]))
         for clients, span, count, width in self.runs:
-            np.matmul(a[span].reshape(count, width, -1).swapaxes(-1, -2), b[span].reshape(count, width, -1), out=out[clients])
+            product = np.multiply if width == 1 else np.matmul
+            product(a[span].reshape(count, width, -1).swapaxes(-1, -2), b[span].reshape(count, width, -1), out=out[clients])
         return out
 
     def sum(self, rows: np.ndarray) -> np.ndarray:
-        """Each client's rows summed, [R, ...] to [C, ...]; one row passes through, as `_unbroadcast` leaves it."""
+        """Each client's rows summed, [R, ...] to [C, ...], as `_unbroadcast` sums them."""
         out = np.empty((self.widths.size, *rows.shape[1:]))
         for clients, span, count, width in self.runs:
-            part = rows[span].reshape(count, width, *rows.shape[1:])
-            if width > 1:
-                np.add.reduce(part, axis=1, out=out[clients])
-            else:
-                out[clients] = part[:, 0]
+            np.add.reduce(rows[span].reshape(count, width, *rows.shape[1:]), axis=1, out=out[clients])
         return out
 
 

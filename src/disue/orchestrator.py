@@ -176,7 +176,8 @@ def local_train(
     Returns (C-contiguous [C, P] parameters, [C] mean training losses,
     positions of the diverged clients): a client whose logits, loss or
     gradient turn non-finite leaves the stack with a copy of its initial
-    row and a nan loss.
+    row and a nan loss. A failed step that no client's own checks explain
+    re-raises its DivergenceError.
     """
     sizes = np.array([s.n for s in shards], dtype=np.int64)
     if sizes.min() < 1:
@@ -193,7 +194,7 @@ def local_train(
     slots = np.arange(steps * batch_size)
     order = np.where(slots < sizes[:, None], first[:, None] + slots, -1)
     step_losses = np.empty((len(shards), epochs, steps))
-    live = np.arange(len(shards))  # positions still in the stack
+    live, gone = np.arange(len(shards)), []  # positions still in the stack, and those that left it
 
     def step_segments(live: np.ndarray) -> list[nn.Segments]:  # each step's batch widths: full batches, then the rest
         return [nn.Segments(np.full(live.size, batch_size))] * (steps - 1) + [nn.Segments(sizes[live] - (steps - 1) * batch_size)]
@@ -224,20 +225,24 @@ def local_train(
                         bad = ~np.isfinite(loss.data)
                     if not bad.any():  # and so do its gradients
                         bad = ~np.all([np.isfinite(p.grad).all(axis=(1, 2)) for p in model.parameters()], axis=0)
+                    if not bad.any():  # no client to shed: a replay would fail the same way
+                        raise
                     # the failed step moved no parameter: replay it without the diverged clients
+                    gone += live[bad].tolist()
                     live, order = live[~bad], order[~bad]
                     segments = step_segments(live)
                     model = template.spawn(model.param_vector()[~bad])
     for p in model.parameters():  # spent: free them before the rows are copied out
         p.grad = None
+    params = np.empty((len(shards), template.param_count))
+    params[gone] = init_params[gone]  # a diverged client keeps a copy of its row
+    # each parameter into its columns of the survivors' rows: a [C, P] temporary would be a second buffer to fill
+    offsets = np.cumsum([0] + [t.data.size for t in template.parameters()])
+    for p, start, end in zip(model.parameters(), offsets, offsets[1:]):
+        params[live, start:end] = p.data.reshape(live.size, end - start)
     losses = np.full(len(shards), np.nan)
     losses[live] = [np.mean(step_losses[c].ravel()) for c in live]  # over each client's own steps
-    if live.size == len(shards):  # no diverged row to fill
-        return model.param_vector(), losses, ()
-    params = np.array(init_params, dtype=np.float64, order="C")  # a diverged client keeps a copy of its row
-    if live.size:
-        params[live] = model.param_vector()
-    return params, losses, tuple(np.setdiff1d(np.arange(len(shards)), live).tolist())
+    return params, losses, tuple(sorted(gone))
 
 
 def _evaluate(template: Classifier, params: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -281,14 +286,9 @@ class Simulation:
             raise InvalidInputError(f"data must hold clients 0..{cfg.clients - 1}, each at the position of its id")
         num_classes = self.data.num_classes
         self.train_label_counts = np.stack([label_counts(shard.train.labels, num_classes) for shard in self.data.clients])
-        self.template = Classifier(self.data.feature_dim, num_classes, hidden=(cfg.hidden_dim, cfg.hidden_dim))
-        init_model = Classifier(
-            self.data.feature_dim,
-            num_classes,
-            hidden=(cfg.hidden_dim, cfg.hidden_dim),
-            rng=stream(seed, _TAG_MODEL_INIT),
-        )
-        init_params = init_model.param_vector()
+        # the initial model; every other classifier is spawned from it and loaded
+        self.template = Classifier(self.data.feature_dim, num_classes, (cfg.hidden_dim, cfg.hidden_dim), stream(seed, _TAG_MODEL_INIT))
+        init_params = self.template.param_vector()
         persistent = self.spec.fuses and not cfg.distill.reinit_generator
         self.state = SimState(
             round_index=0,
@@ -323,7 +323,7 @@ class Simulation:
         groups: dict[int, list[int]] = {}  # clients that take one number of steps per epoch train in lockstep
         for cid in sorted(actives.tolist(), key=lambda cid: clients[cid].train.n):  # so equal batch widths are adjacent
             groups.setdefault(-(-clients[cid].train.n // cfg.batch_size), []).append(cid)
-        trained = {}
+        params_by_client, losses, diverged = {}, np.empty(cfg.clients), []
         for ids in [group[i : i + _MAX_STACK] for group in groups.values() for i in range(0, len(group), _MAX_STACK)]:
             if self.spec.cluster_broadcast:
                 init = np.stack([state.client_feed[cid] for cid in ids])
@@ -332,22 +332,17 @@ class Simulation:
             shards = [clients[cid].train for cid in ids]
             # a full-batch client never draws its batch order, so it gets no stream
             rngs = [stream(self.seed, _TAG_LOCAL, r, cid) if shard.n > cfg.batch_size else None for cid, shard in zip(ids, shards)]
-            params, losses, diverged = local_train(
+            params, losses[ids], stack_diverged = local_train(
                 shards, init, self.template, cfg.local_epochs, cfg.local_lr, cfg.batch_size, cfg.weight_decay, rngs
             )
-            trained.update((cid, (params[i], losses[i], i in diverged)) for i, cid in enumerate(ids))
-        params_by_client, losses = {}, []
-        for cid in actives.tolist():  # in client-id order, whatever the groups
-            params_by_client[cid], loss, diverged = trained[cid]
-            if diverged:
-                self.events.append(Event(r, "local_train", f"client {cid} diverged; kept broadcast parameters"))
-            else:
-                losses.append(loss)
-        return params_by_client, float(np.mean(losses)) if losses else float("nan")
+            params_by_client.update(zip(ids, params))
+            diverged += [ids[i] for i in stack_diverged]
+        for cid in sorted(diverged):
+            self.events.append(Event(r, "local_train", f"client {cid} diverged; kept broadcast parameters"))
+        kept = losses[actives][~np.isin(actives, diverged)]  # in client-id order, whatever the stacks
+        return params_by_client, float(np.mean(kept)) if kept.size else float("nan")
 
     def _cluster_actives(self, actives: np.ndarray, params_by_client: dict[int, np.ndarray], round_index: int) -> ClusterPartition:
-        if actives.size < 2:
-            return singleton_partition([int(c) for c in actives])
         masked = [ssc_encrypt(params_by_client[cid], self.secure, round_index, cid) for cid in actives.tolist()]
         partition = affinity_propagation(build_similarity_matrix(masked))
         if partition.fallback:
@@ -389,7 +384,7 @@ class Simulation:
         weighted = lambda ids: [(params_by_client[cid], clients[cid].train.n) for cid in ids]
 
         loss_cd = loss_cf = loss_div = float("nan")
-        if spec.clusters:
+        if spec.clusters and actives.size > 1:
             partition = self._cluster_actives(actives, params_by_client, r)
         else:
             partition = singleton_partition([int(c) for c in actives])

@@ -27,7 +27,7 @@ from disue.metrics import (
     strip_wall_ms,
     write_round_csv,
 )
-from disue.orchestrator import run_experiment
+from disue.orchestrator import build_federated_data, run_experiment
 
 TINY = {
     "rounds": 2,
@@ -216,8 +216,24 @@ def test_an_empty_global_test_split_fails_at_parse_time(samples_per_class, fract
 
 
 def test_one_held_out_sample_per_class_is_enough():
-    cfg = config_from_dict({"dataset": {"samples_per_class": 20, "test_fraction": 0.03}})
+    # 4 classes of 19 training samples are enough for 20 clients
+    cfg = config_from_dict({"clients": 20, "dataset": {"samples_per_class": 20, "test_fraction": 0.03}})
     assert cfg.dataset.test_fraction == 0.03
+
+
+def test_more_clients_than_training_samples_exit_2_before_the_out_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--clients", "5000", "--out-dir", str(out)]) == 2
+    assert "config key 'clients' must be at most 800" in capsys.readouterr().err  # 4 classes of 250, 50 held out each
+    assert not out.exists()
+
+
+def test_every_training_sample_can_go_to_its_own_client():
+    dataset = {"samples_per_class": 20}  # 4 classes of 16 training samples
+    with pytest.raises(ConfigError, match="config key 'clients' must be at most 64"):
+        config_from_dict({"clients": 65, "dataset": dataset})
+    data = build_federated_data(config_from_dict({"clients": 64, "dataset": dataset}), seed=0)
+    assert [shard.train.n + shard.holdout.n for shard in data.clients] == [1] * 64
 
 
 # ---------------------------------------------------------------------------

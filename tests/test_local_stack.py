@@ -11,16 +11,19 @@ another client of the stack diverges.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disue import nn
+from disue import nn, orchestrator
 from disue.config import DatasetConfig, SimConfig
 from disue.data import Dataset
-from disue.errors import InvalidInputError
+from disue.errors import DivergenceError, InvalidInputError
 from disue.nn import Classifier
-from disue.orchestrator import _TAG_LOCAL, Simulation, local_train, sample_active_clients, stream
+from disue.orchestrator import _TAG_LOCAL, ClientShard, FederatedData, Simulation, local_train, sample_active_clients, stream
 from helpers import reference_local_train
 
 IN_DIM, CLASSES = 2, 4
@@ -284,3 +287,77 @@ def test_a_nan_in_a_cluster_feed_row_diverges_that_client_alone():
     assert _bits(mean_loss) == _bits(float(np.mean(losses)))
     for cid in (early, late):
         assert not np.shares_memory(params_by_client[cid], feed[cid])
+
+
+class _Replayed(Exception):
+    """A training step called again after a failure that no client's checks explain."""
+
+
+def test_a_divergence_no_client_explains_re_raises(monkeypatch):
+    """Finite logits, losses and gradients give no client to shed, so replaying the step would fail forever."""
+    calls = []
+
+    def step(self, lr, weight_decay=0.0):
+        calls.append(lr)
+        if len(calls) > 3:
+            raise _Replayed(f"step called {len(calls)} times")
+        raise DivergenceError("non-finite gradient")
+
+    monkeypatch.setattr(nn.Module, "step", step)
+    rng = np.random.default_rng(2)
+    template = Classifier(IN_DIM, CLASSES, (8, 8))
+    with pytest.raises(DivergenceError, match="non-finite gradient"):
+        local_train(_shards(rng, [3, 5]), _rows(rng, template, 2), template, 1, 0.1, 8, 0.0, [None, None])
+    assert len(calls) == 1
+
+
+@st.composite
+def _federations(draw):
+    """Small injected federations: shards of 1-120 samples, some poisoned with a nan feature."""
+    sizes = draw(st.lists(st.integers(1, 120), min_size=2, max_size=9))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    shards = _shards(rng, sizes)
+    for cid in draw(st.sets(st.integers(0, len(sizes) - 1), max_size=2)):
+        shards[cid].features[draw(st.integers(0, sizes[cid] - 1)), 0] = np.nan
+    actives = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)).filter(any))
+    return seed, shards, np.flatnonzero(actives)
+
+
+@ignore_overflow_warnings
+@settings(max_examples=25, deadline=None)
+@given(
+    federation=_federations(),
+    batch_size=st.integers(8, 130),
+    epochs=st.integers(1, 3),
+    variant=st.sampled_from(["fedavg", "cfl_only"]),
+    max_stack=st.sampled_from([2, 3]),
+)
+def test_a_round_of_stacks_trains_every_client_as_it_would_alone(federation, batch_size, epochs, variant, max_stack):
+    """Stacks split at 2 or 3 clients; each active client's row equals the oracle's, and events come in client-id order."""
+    seed, shards, actives = federation
+    holdout = _shards(np.random.default_rng(seed), [2])[0]
+    data = FederatedData([ClientShard(cid, shard, holdout) for cid, shard in enumerate(shards)], holdout.features, holdout.labels, CLASSES, IN_DIM)
+    cfg = SimConfig(variant=variant, rounds=1, clients=len(shards), local_epochs=epochs, batch_size=batch_size, hidden_dim=8)
+    sim = Simulation(cfg, seed, data=data)
+    state = sim.state
+    if variant == "cfl_only":  # each client trains from its own row
+        rng = np.random.default_rng(seed)
+        state = dataclasses.replace(state, client_feed={cid: row + 0.01 * rng.normal(size=row.size) for cid, row in state.client_feed.items()})
+    with mock.patch.object(orchestrator, "_MAX_STACK", max_stack):
+        params_by_client, mean_loss = sim._train_actives(state, actives)
+
+    losses, diverged = [], []
+    for cid in actives.tolist():
+        init = state.client_feed[cid] if variant == "cfl_only" else state.global_params
+        want_params, want_loss, want_diverged = reference_local_train(
+            shards[cid], init, sim.template, epochs, cfg.local_lr, batch_size, cfg.weight_decay, stream(seed, _TAG_LOCAL, 0, cid)
+        )
+        assert _bits(params_by_client[cid]) == _bits(want_params), f"client {cid}"
+        if want_diverged:
+            diverged.append(cid)
+        else:
+            losses.append(want_loss)
+    assert sorted(params_by_client) == actives.tolist()
+    assert [ev.message for ev in sim.events] == [f"client {cid} diverged; kept broadcast parameters" for cid in diverged]
+    assert _bits(mean_loss) == _bits(float(np.mean(losses)) if losses else float("nan"))
