@@ -19,20 +19,17 @@ distances for the div term and the teachers' softmax on the frozen
 student-phase samples are computed once per alternation, not per step.
 
 How the teachers are computed. iga_round stacks the K teachers once per
-round into [K, in, out] weights (nn.stack), and from there on they are
-one value with a leading teacher axis: one np.matmul per layer runs them
-all, the teacher softmax is [K, Q, classes], and the cd and cf totals
-are one nn.weighted_kl and one nn.log_likelihood node each, weighted by
-[K, Q] per-sample teacher shares. In a generator step the cd and cf
-terms read one teacher forward of the samples through two tape nodes,
-the forward and its nn.branch, each with its own backward. The fused
-nodes replay the numpy ops of the one-op-per-node chains they replace,
-so every output byte is unchanged. That also fixes the order of every
-sum over teachers: each node adds the K per-teacher totals one at a
-time, and the samples' gradient gets cd_0 .. cd_{K-1}, then cf_0 ..
-cf_{K-1}, then div, each added in turn. Summing over the teacher axis
-at once, or the two branches before their backward, would change the
-bits.
+round into [K, in, out] weights (nn.stack): one np.matmul per layer runs
+them all, and the cd and cf totals are sums over [K, Q] per-sample
+teacher shares. A generator step's objective is one tape node on the
+samples: one teacher forward feeds cd's softmax and cf's log-softmax,
+and one teacher backward takes both logit gradients as [2, K, Q,
+classes]. The node replays the numpy ops of the one-op-per-node chain it
+replaces, through the kernels of nn's own nodes, so every output byte is
+unchanged. That fixes the order of every sum over teachers: the K
+totals are added one at a time, and the samples' gradient gets cd_0 ..
+cd_{K-1}, then cf_0 .. cf_{K-1}, then div. Summing over the teacher axis
+at once, or the two gradients before the backward, would move bits.
 """
 from __future__ import annotations
 
@@ -125,51 +122,70 @@ def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tens
 
     `teacher_logits` is the stacked teachers' forward on batch.samples,
     [K, Q, classes] and live through the samples, so gradients reach the
-    generator while teacher parameters stay frozen. The generator step
-    passes a branch of the forward it shares with the cd term.
+    generator while teacher parameters stay frozen.
     """
     weights = _teacher_sample_weights(gwf, batch.labels)
     return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, weights), -1.0 / batch.size)
 
 
+def _diversity(xdist: np.ndarray, zdist: np.ndarray):
+    """exp(mean of -xdist * zdist), and its backward to xdist, as the mul/tsum/mul/exp chain computes them."""
+    neg_zdist, scale = -zdist, 1.0 / zdist.size
+    value = np.exp(float((xdist * neg_zdist).sum()) * scale)
+
+    def bwd(g):
+        g_sum = (g * value + 0.0) * scale + 0.0
+        return np.add(np.multiply(g_sum, neg_zdist), 0.0)
+
+    return value, bwd
+
+
 def loss_div(batch: PseudoBatch, zdist: np.ndarray | None = None) -> Tensor:
     """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse.
 
-    `zdist`, when given, must be nn.pairwise_distances(batch.noise).data;
-    callers that reuse one noise draw pass it to skip the [Q, Q, noise_dim]
-    pass.
+    `zdist`, when given, must be nn.distances(batch.noise); callers that
+    reuse one noise draw pass it to skip the noise distances.
     """
-    q = batch.size
-    if zdist is None:
-        zdist = nn.pairwise_distances(batch.noise).data
     xdist = nn.pairwise_distances(batch.samples)
-    exponent = nn.mul(nn.tsum(nn.mul(xdist, -zdist)), 1.0 / (q * q))
-    return nn.exp(exponent)
+    value, div_bwd = _diversity(xdist.data, nn.distances(batch.noise) if zdist is None else zdist)
+    return nn._node(value, (xdist,), lambda g: nn._accumulate(xdist, div_bwd(g), owned=True))
 
 
 def _generator_objective(
-    stacked: Classifier,
-    student: Classifier,
-    batch: PseudoBatch,
-    gwf: GwfWeights,
-    cfg: DistillConfig,
-    zdist: np.ndarray,
+    stacked: Classifier, student: Classifier, batch: PseudoBatch, gwf: GwfWeights, cfg: DistillConfig, zdist: np.ndarray
 ) -> tuple[Tensor, float, float, float]:
-    """The scalar the generator minimizes, plus the component values."""
-    weights = _teacher_sample_weights(gwf, batch.labels)
+    """The scalar the generator minimizes, as one tape node on the samples, plus the component values.
+
+    The generator ascends cd, except in the flipped composition, where it
+    descends all three terms together. The scalar chain runs in Python
+    floats, which round as the 0-d arrays of the unfused chain do.
+    """
+    samples, labels, q = batch.samples, batch.labels, batch.size
+    weights = _teacher_sample_weights(gwf, labels)
     with nn.no_grad():
-        student_probs = nn.softmax(student.forward(batch.samples.data)).data  # constant for the generator
-    # one teacher forward, live through the samples, read by two branches:
-    # merging their backwards would change the order of the sums
-    logits = stacked.forward(batch.samples)
-    cd = nn.mul(nn.weighted_kl(nn.softmax(logits), student_probs, weights), 1.0 / batch.size)
-    cf = loss_cf(nn.branch(logits), batch, gwf)
-    div = loss_div(batch, zdist)
-    # the generator ascends cd, except in the flipped composition, where it
-    # descends all three terms together
-    signed_cd = cd if cfg.literal_minimax else nn.mul(cd, -1.0)
-    objective = nn.add(nn.add(signed_cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
-    return objective, cd.item(), cf.item(), div.item()
+        student_probs = nn.softmax(student.forward(samples.data)).data  # constant for the generator
+    logits = stacked.forward(samples)  # not on the tape: the node runs its backward once
+    rows = nn.SoftmaxRows(logits.data, "softmax")
+    probs, log_probs = rows.probs(), rows.log_probs()
+    kl, kl_bwd = nn.kl_terms(probs, student_probs, weights)
+    ll, ll_bwd = nn.label_terms(log_probs, (..., np.arange(q), labels), weights)
+    xdist = nn.distances(samples.data)
+    div, div_bwd = _diversity(xdist, zdist)
+    cd, cf = float(kl) * (1.0 / q), float(ll) * (-1.0 / q)
+    signed_cd = cd if cfg.literal_minimax else cd * -1.0
+    objective = signed_cd + cf * cfg.beta_cf + div * cfg.beta_div
+
+    def bwd(g):
+        g = float(g) + 0.0  # what each add node passes on
+        g_cd = g if cfg.literal_minimax else g * -1.0 + 0.0
+        (p_grad, p_rest), _ = kl_bwd(g_cd * (1.0 / q) + 0.0, True, False)
+        p_grad = np.add(p_grad, 0.0, out=p_grad) + p_rest  # as `_accumulate` gathers the probs' gradient
+        g_logits = np.stack([nn.softmax_grad(probs, p_grad), ll_bwd((g * cfg.beta_cf + 0.0) * (-1.0 / q) + 0.0)])
+        logits._bwd(np.add(g_logits, 0.0, out=g_logits))  # cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}, into the samples
+        g_xdist = div_bwd(g * cfg.beta_div + 0.0)
+        nn._accumulate(samples, nn.distances_grad(samples.data, xdist, g_xdist), owned=True)  # then div
+
+    return nn._node(objective, (samples,), bwd), cd, cf, float(div)
 
 
 def iga_round(
@@ -195,7 +211,7 @@ def iga_round(
     try:
         for inner in range(cfg.inner_iters):
             labels, noise = _draw_labels_and_noise(gls, cfg.pseudo_batch, generator.noise_dim, rng)
-            zdist = nn.pairwise_distances(noise).data
+            zdist = nn.distances(noise)
             for _ in range(cfg.gen_steps):
                 batch = PseudoBatch(noise, labels, generator.forward(noise, labels))
                 objective, cd_val, cf_val, div_val = _generator_objective(stacked, student, batch, gwf, cfg, zdist)

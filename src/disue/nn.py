@@ -6,18 +6,19 @@ the graph is float64 and every op is deterministic, so identical seeds
 reproduce identical parameters bit for bit.
 
 The hot chains are single fused nodes: a network trunk (`mlp`), the
-weighted KL total of K teachers (`weighted_kl`) and the label
-log-likelihood (`cross_entropy`, and `log_likelihood` over K teachers).
-Each backward replays the numpy ops of the one-op-per-node chain it
-replaces, per teacher and in its order, so values and gradients match
-that chain bit for bit; tests/helpers.py keeps the chain as the oracle.
-Where the chain would store a computed value as a fresh gradient, the
-kernel adds 0.0 as `_accumulate` does, which turns -0.0 into 0.0. A
-stored gradient holds no -0.0, so the chain's copies of one are skipped.
+weighted KL of K teachers and the label log-likelihood (`weighted_kl`,
+`cross_entropy`, `log_likelihood`). Their array kernels (`SoftmaxRows`,
+`kl_terms`, `label_terms`, `distances`) serve distill's generator node
+too. Each backward replays the numpy ops of the one-op-per-node chain it
+replaces, per teacher and in its order, so values and gradients match it
+bit for bit; tests/helpers.py keeps the chain as the oracle. A fresh
+gradient gets +0.0 as `_accumulate` gives it, turning -0.0 into 0.0, so a
+stored one holds no -0.0 and the chain's copies of it are skipped.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,17 +124,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def branch(t: Tensor) -> Tensor:
-    """A second node with t's value and backward, for a second consumer of t.
-
-    Each branch gets its own gradient and runs the backward on it, so t's
-    inputs receive one contribution per branch, in backward order, as if t
-    had been computed twice. Every backward here reads only its argument,
-    never its own node, which is what makes the sharing sound.
-    """
-    return _node(t.data, t._parents, t._bwd)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad for every node reachable from a scalar loss.
 
@@ -180,17 +170,6 @@ def mul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, g * out_data)
-
-    return _node(out_data, (a,), bwd)
 
 
 def tsum(a) -> Tensor:
@@ -299,22 +278,26 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | N
     order, so values and gradients match it bit for bit, and it feeds only
     what that chain would have fed: a frozen weight or a constant input
     gets nothing. For a stack, the K gradients of a [batch, in] input are
-    added in order k = 0..K-1.
+    added in order k = 0..K-1, and those of a [2, K, batch, out] gradient
+    in C order.
     """
     x = as_tensor(x)
 
-    def affine(h, layer):
+    def affine(h, layer):  # a fresh array, which the ops after it may overwrite
         if segments is None:
-            return h @ layer.w.data + layer.b.data
-        out = segments.matmul(h, layer.w.data)
-        out += layer.b.data[segments.owner, 0]  # each row's owner's bias
+            out = h @ layer.w.data
+            out += layer.b.data
+        else:
+            out = segments.matmul(h, layer.w.data)
+            out += layer.b.data[segments.owner, 0]  # each row's owner's bias
         return out
 
     hs = [x.data]  # each layer's input
     for layer in layers[:-1]:
         # np.maximum, not np.where: a nan input must poison the output, not
         # silently turn into 0 and hide a diverged model
-        hs.append(np.maximum(affine(hs[-1], layer), 0.0))
+        h = affine(hs[-1], layer)
+        hs.append(np.maximum(h, 0.0, out=h))
     out = affine(hs[-1], layers[-1])
     if tanh:
         out = np.tanh(out)
@@ -340,10 +323,11 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | N
                 return
             w_t = w.data.swapaxes(-1, -2)
             g_in = g @ w_t if segments is None else segments.matmul(g, w_t)
-            if i:
-                g = np.add(g_in * (hs[i] > 0), 0.0)
-            elif g_in.ndim > x.data.ndim:
-                for part in g_in:
+            if i:  # in place: a broadcast mask product into fresh arrays measured 4x slower
+                g_in *= hs[i] > 0
+                g = np.add(g_in, 0.0, out=g_in)
+            elif g_in.ndim > x.data.ndim:  # each [batch, in] slice in order, over every leading axis
+                for part in g_in.reshape(-1, *x.data.shape):
                     _accumulate(x, part)
             else:
                 _accumulate(x, g_in)
@@ -352,22 +336,71 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | N
     return _node(out, (x, *params), bwd)
 
 
+class SoftmaxRows:
+    """Softmax and log-softmax over the last axis from one finiteness check, shift, exp and row sum."""
+
+    def __init__(self, logits: np.ndarray, op: str):
+        if not np.isfinite(logits).all():  # the optimization blew up somewhere upstream
+            raise DivergenceError(f"non-finite logits in {op}")
+        self.shifted = logits - logits.max(axis=-1, keepdims=True)
+        self.exp = np.exp(self.shifted)
+        self.sums = self.exp.sum(axis=-1, keepdims=True)
+
+    def probs(self) -> np.ndarray:
+        return self.exp / self.sums
+
+    def log_probs(self) -> np.ndarray:
+        return self.shifted - np.log(self.sums)
+
+
+def softmax_grad(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The logits' gradient from a gradient g on their softmax probs."""
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+
+
 def softmax(logits) -> Tensor:
     """Softmax over the last axis."""
     t = as_tensor(logits)
-    if not np.all(np.isfinite(t.data)):
-        # non-finite logits mean the optimization blew up somewhere upstream
-        raise DivergenceError("non-finite logits in softmax")
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = SoftmaxRows(t.data, "softmax").probs()
 
     def bwd(g):
         if t.needs_grad():
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            _accumulate(t, out_data * (g - dot))
+            _accumulate(t, softmax_grad(out_data, g), owned=True)
 
     return _node(out_data, (t,), bwd)
+
+
+_DISTANCE_BLOCK = 40_000  # differences per block: blocks of 6-13 rows at [50, 100] took 0.3-0.4 ms, one 0.6 ms
+
+
+def distances(x: np.ndarray) -> np.ndarray:
+    """Distances between the rows of [n, D] x, with the bits of np.sum over the [n, n, D] differences.
+
+    numpy adds fewer than 8 values one by one, so a small D adds [n, n] planes in turn. Otherwise
+    blocks of rows take the rows from their first on, and are mirrored: x_i - x_j is -(x_j - x_i).
+    """
+    n, dim = x.shape
+    if dim < 8:
+        squares = np.zeros((n, n))
+        for col in x.T:
+            diff = col[:, None] - col[None, :]
+            squares += diff * diff
+        return np.sqrt(squares)
+    d, rows = np.empty((n, n)), max(1, _DISTANCE_BLOCK // max(n * dim, 1))
+    for first in range(0, n, rows):
+        block = slice(first, first + rows)
+        diff = x[block, None, :] - x[None, first:, :]
+        np.multiply(diff, diff, out=diff)  # in place: a second block buffer costs more than the square
+        d[block, first:] = np.sqrt(diff.sum(axis=2))
+        d[first:, block] = d[block, first:].T
+    return d
+
+
+def distances_grad(x: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The [n, D] rows' gradient from a gradient g on their distances d; a zero distance passes none."""
+    w = np.zeros_like(d)
+    np.divide(g + g.T, d, out=w, where=d > 0)
+    return w.sum(axis=1)[:, None] * x - w @ x
 
 
 def pairwise_distances(x) -> Tensor:
@@ -375,16 +408,11 @@ def pairwise_distances(x) -> Tensor:
     t = as_tensor(x)
     if t.data.ndim != 2:
         raise InvalidInputError("pairwise_distances expects a 2-d batch")
-    diff = t.data[:, None, :] - t.data[None, :, :]
-    np.multiply(diff, diff, out=diff)  # in place: a second [n, n, dim] buffer costs more than the square
-    d = np.sqrt(diff.sum(axis=2))
+    d = distances(t.data)
 
     def bwd(g):
-        if not t.needs_grad():
-            return
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(d > 0, (g + g.T) / np.where(d > 0, d, 1.0), 0.0)
-        _accumulate(t, w.sum(axis=1)[:, None] * t.data - w @ t.data)
+        if t.needs_grad():
+            _accumulate(t, distances_grad(t.data, d, g), owned=True)
 
     return _node(d, (t,), bwd)
 
@@ -395,7 +423,7 @@ def pairwise_distances(x) -> Tensor:
 _PROB_FLOOR = 1e-12
 
 
-def _sum_per_teacher(terms: np.ndarray) -> float:
+def sum_per_teacher(terms: np.ndarray) -> float:
     """Each teacher's terms summed, then the K sums added one at a time, k = 0..K-1.
 
     This is the order of a chain of per-teacher add nodes. Summing over the
@@ -405,6 +433,22 @@ def _sum_per_teacher(terms: np.ndarray) -> float:
     for t in terms[1:]:
         total = total + t.sum()
     return total
+
+
+def kl_terms(pk: np.ndarray, q: np.ndarray, wk: np.ndarray):
+    """sum_k sum_i wk[k, i] * KL(pk[k, i] || q[i]), and its backward to pk (2 parts) and q (K parts), in order."""
+    p_floor, q_floor = np.maximum(pk, _PROB_FLOOR), np.maximum(q, _PROB_FLOOR)
+    log_ratio = np.log(p_floor) - np.log(q_floor)
+
+    def bwd(g, p_side: bool, q_side: bool):
+        # per teacher, the backward of the clamp/log/sub/mul/sum chain and its weighting mul and tsum
+        g = np.broadcast_to(np.expand_dims(np.add(g * wk, 0.0), -1), log_ratio.shape)
+        g_ratio = np.add(g * pk, 0.0)
+        p_parts = (g * log_ratio, np.add(g_ratio / p_floor, 0.0) * (pk > _PROB_FLOOR)) if p_side else ()
+        q_parts = np.add(np.add(-g_ratio, 0.0) / q_floor, 0.0) * (q > _PROB_FLOOR) if q_side else ()
+        return p_parts, q_parts
+
+    return sum_per_teacher((pk * log_ratio).sum(axis=-1) * wk), bwd
 
 
 def weighted_kl(p, q, weights) -> Tensor:
@@ -424,27 +468,17 @@ def weighted_kl(p, q, weights) -> Tensor:
     pk = p.data if stacked else p.data[None]
     wk = weights if stacked else weights[None]
     if pk.shape[1:] != q.data.shape or wk.shape != pk.shape[:-1]:
-        raise InvalidInputError(
-            f"weighted_kl shape mismatch: p {p.data.shape}, q {q.data.shape}, weights {weights.shape}"
-        )
-    p_floor = np.maximum(pk, _PROB_FLOOR)
-    q_floor = np.maximum(q.data, _PROB_FLOOR)
-    log_ratio = np.log(p_floor) - np.log(q_floor)
+        raise InvalidInputError(f"weighted_kl shape mismatch: p {p.data.shape}, q {q.data.shape}, weights {weights.shape}")
+    value, kl_bwd = kl_terms(pk, q.data, wk)
 
     def bwd(g):
-        # per teacher, the backward of the clamp/log/sub/mul/sum chain and of
-        # its weighting mul and tsum, op for op
-        g = np.broadcast_to(np.expand_dims(np.add(g * wk, 0.0), -1), log_ratio.shape)
-        if p.needs_grad():
-            _accumulate(p, (g * log_ratio).reshape(p.data.shape))
-        g_ratio = np.add(g * pk, 0.0)
-        if p.needs_grad():
-            _accumulate(p, (np.add(g_ratio / p_floor, 0.0) * (pk > _PROB_FLOOR)).reshape(p.data.shape))
-        if q.needs_grad():
-            for part in np.add(np.add(-g_ratio, 0.0) / q_floor, 0.0) * (q.data > _PROB_FLOOR):
-                _accumulate(q, part)
+        p_parts, q_parts = kl_bwd(g, p.needs_grad(), q.needs_grad())
+        for part in p_parts:
+            _accumulate(p, part.reshape(p.data.shape))
+        for part in q_parts:
+            _accumulate(q, part)
 
-    return _node(_sum_per_teacher((pk * log_ratio).sum(axis=-1) * wk), (p, q), bwd)
+    return _node(value, (p, q), bwd)
 
 
 def kl_divergence(p, q) -> Tensor:
@@ -456,33 +490,39 @@ def kl_divergence(p, q) -> Tensor:
     return mul(weighted_kl(p, q, np.ones(p.data.shape[:-1])), 1.0 / rows)
 
 
-def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """log softmax(logits)[..., i, labels[i]] per row, and the backward from a gradient on those values.
+def label_grad(log_probs: np.ndarray, index: tuple, g_picked: np.ndarray) -> np.ndarray:
+    """The logits' gradient from a gradient on log_probs[index], as the log_softmax/take_per_row chain gives it."""
+    g = np.zeros_like(log_probs)
+    g[index] += g_picked
+    return g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
+
+
+def label_terms(log_probs: np.ndarray, index: tuple, weights: np.ndarray):
+    """sum_k sum_i weights[k, i] * log_probs[index][k, i], and its backward from a scalar to the logits."""
+    picked = log_probs[index]
+
+    def bwd(g):
+        return label_grad(log_probs, index, np.add(np.broadcast_to(g, picked.shape) * weights, 0.0))
+
+    return sum_per_teacher(picked * weights), bwd
+
+
+def _label_log_probs(logits: Tensor, labels, stacked: bool) -> tuple[np.ndarray, tuple]:
+    """log softmax(logits), after checking them and the labels, and the index of each row's label.
 
     Stacked logits carry a leading axis of K teachers that share the
-    [batch] labels. The backward takes any shape that broadcasts to the
-    values and replays the unfused log_softmax/take_per_row chain.
+    [batch] labels.
     """
     if logits.data.ndim != 2 + stacked:
         raise InvalidInputError("expected [K, batch, classes] logits" if stacked else "expected [batch, classes] logits")
-    if not np.isfinite(logits.data).all():
-        raise DivergenceError("non-finite logits in log_softmax")
+    rows = SoftmaxRows(logits.data, "log_softmax")
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.data.shape[-2:]
     if labels.shape != (n,):
         raise InvalidInputError("one label per row required")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise InvalidInputError(f"label out of range [0, {c})")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    index = (..., np.arange(n), labels)
-
-    def bwd(g_picked):
-        g = np.zeros_like(log_probs)
-        g[index] += g_picked
-        _accumulate(logits, g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True))
-
-    return log_probs[index], bwd
+    return rows.log_probs(), (..., np.arange(n), labels)
 
 
 def cross_entropy(logits, labels, segments: Segments | None = None) -> Tensor:
@@ -493,7 +533,8 @@ def cross_entropy(logits, labels, segments: Segments | None = None) -> Tensor:
     would: its own sum, times -1/width.
     """
     logits = as_tensor(logits)
-    picked, picked_bwd = _label_log_probs(logits, labels, stacked=False)
+    log_probs, index = _label_log_probs(logits, labels, stacked=False)
+    picked = log_probs[index]
     if segments is None:
         total, scale = picked.sum(), np.asarray(-1.0 / picked.size)
     else:
@@ -501,7 +542,8 @@ def cross_entropy(logits, labels, segments: Segments | None = None) -> Tensor:
 
     def bwd(g):
         g = np.add(g * scale, 0.0)
-        picked_bwd(g if segments is None else g[segments.owner])  # each client's gradient on its rows
+        g = g if segments is None else g[segments.owner]  # each client's gradient on its rows
+        _accumulate(logits, label_grad(log_probs, index, g), owned=True)
 
     return _node(total * scale, (logits,), bwd)
 
@@ -513,15 +555,12 @@ def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
     per-teacher totals are added in order k = 0..K-1.
     """
     logits = as_tensor(logits)
-    picked, picked_bwd = _label_log_probs(logits, labels, stacked=True)
+    log_probs, index = _label_log_probs(logits, labels, stacked=True)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != picked.shape:
-        raise InvalidInputError(f"log_likelihood expects weights of shape {picked.shape}, got {weights.shape}")
-
-    def bwd(g):
-        picked_bwd(np.add(np.broadcast_to(g, picked.shape) * weights, 0.0))
-
-    return _node(_sum_per_teacher(picked * weights), (logits,), bwd)
+    if weights.shape != log_probs.shape[:-1]:
+        raise InvalidInputError(f"log_likelihood expects weights of shape {log_probs.shape[:-1]}, got {weights.shape}")
+    value, terms_bwd = label_terms(log_probs, index, weights)
+    return _node(value, (logits,), lambda g: _accumulate(logits, terms_bwd(g), owned=True))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +602,9 @@ class Module:
 
     def param_vector(self) -> np.ndarray:
         """The parameters flattened in order: [P] for one model, [C, P] rows for a stack of C."""
-        lead = self.layers[0].w.data.shape[:-2]
-        return np.concatenate([p.data.reshape(*lead, -1) for p in self.parameters()], axis=-1)
+        lead = self.layers[0].w.data.shape[:-2]  # row sizes by name: reshape cannot infer -1 from zero rows
+        rows = [p.data.reshape(*lead, math.prod(p.data.shape[len(lead) :])) for p in self.parameters()]
+        return np.concatenate(rows, axis=-1)
 
     def load_param_vector(self, vec: np.ndarray) -> None:
         """Load a flat [P] vector, or [C, P] rows as a stack: [C, in, out] weights, [C, 1, out] biases."""

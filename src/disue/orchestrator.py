@@ -241,7 +241,8 @@ def local_train(
     for p, start, end in zip(model.parameters(), offsets, offsets[1:]):
         params[live, start:end] = p.data.reshape(live.size, end - start)
     losses = np.full(len(shards), np.nan)
-    losses[live] = [np.mean(step_losses[c].ravel()) for c in live]  # over each client's own steps
+    # each client's own steps, summed as np.mean of its row alone sums them; -1 cannot size zero rows
+    losses[live] = step_losses[live].reshape(live.size, epochs * steps).mean(axis=1)
     return params, losses, tuple(sorted(gone))
 
 

@@ -187,6 +187,17 @@ def tanh(a) -> nn.Tensor:
     return nn._node(out_data, (a,), bwd)
 
 
+def exp(a) -> nn.Tensor:
+    a = nn.as_tensor(a)
+    out_data = np.exp(a.data)
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, g * out_data)
+
+    return nn._node(out_data, (a,), bwd)
+
+
 def log(a) -> nn.Tensor:
     a = nn.as_tensor(a)
 
@@ -285,6 +296,52 @@ def unfused_weighted_kl(ps, q, weights) -> nn.Tensor:
 def unfused_stacked_log_likelihood(logits, labels, weights) -> nn.Tensor:
     """The label log-likelihood of each teacher's logits, one chain per teacher."""
     return per_teacher_chain([unfused_log_likelihood(z, labels, w) for z, w in zip(logits, weights)])
+
+
+def branch(t: nn.Tensor) -> nn.Tensor:
+    """A second node with t's value and backward, for a second consumer of t.
+
+    Each branch gets its own gradient and runs the backward on it, so t's
+    inputs receive one contribution per branch, in backward order, as if t
+    had been computed twice. Every backward in the engine reads only its
+    argument, never its own node, which is what makes the sharing sound.
+    """
+    return nn._node(t.data, t._parents, t._bwd)
+
+
+def broadcast_pairwise_distances(x) -> nn.Tensor:
+    """Pairwise row distances from the [n, n, D] differences, each distance computed twice."""
+    t = nn.as_tensor(x)
+    diff = t.data[:, None, :] - t.data[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+
+    def bwd(g):
+        if t.needs_grad():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(d > 0, (g + g.T) / np.where(d > 0, d, 1.0), 0.0)
+            nn._accumulate(t, w.sum(axis=1)[:, None] * t.data - w @ t.data)
+
+    return nn._node(d, (t,), bwd)
+
+
+def unfused_generator_objective(stacked, student, batch, gwf, cfg, zdist):
+    """The generator objective as a chain of tape nodes, with its component values.
+
+    One teacher forward is read by the cd softmax and by a branch for cf,
+    so the teachers' backward runs twice, and the div term is its own
+    distance/mul/tsum/mul/exp chain.
+    """
+    weights = gwf.alpha[:, batch.labels]
+    with nn.no_grad():
+        student_probs = nn.softmax(student.forward(batch.samples.data)).data
+    logits = stacked.forward(batch.samples)
+    cd = nn.mul(nn.weighted_kl(nn.softmax(logits), student_probs, weights), 1.0 / batch.size)
+    cf = nn.mul(nn.log_likelihood(branch(logits), batch.labels, weights), -1.0 / batch.size)
+    xdist = broadcast_pairwise_distances(batch.samples)
+    div = exp(nn.mul(nn.tsum(nn.mul(xdist, -zdist)), 1.0 / (batch.size * batch.size)))
+    signed_cd = cd if cfg.literal_minimax else nn.mul(cd, -1.0)
+    objective = nn.add(nn.add(signed_cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
+    return objective, cd.item(), cf.item(), div.item()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 from disue import nn
+from disue.aggregation import GwfWeights
+from disue.config import DistillConfig
+from disue.distill import PseudoBatch, _generator_objective
+from disue.errors import DivergenceError
 from helpers import (
+    branch,
+    broadcast_pairwise_distances,
     freeze,
     unfused_cross_entropy,
+    unfused_generator_objective,
     unfused_stacked_log_likelihood,
     unfused_trunk,
     unfused_weighted_kl,
@@ -109,7 +116,7 @@ def test_stacked_teachers_read_by_two_branches(k):
     x = nn.Tensor(data, requires_grad=True)
     logits = nn.stack(teachers).forward(x)
     kl = nn.weighted_kl(nn.softmax(logits), student_probs, kl_w)
-    ll = nn.log_likelihood(nn.branch(logits), labels, label_w)
+    ll = nn.log_likelihood(branch(logits), labels, label_w)
     nn.backward(nn.add(nn.mul(kl, -0.5), nn.mul(ll, -0.25)))
 
     # the unfused tape runs every teacher twice, once per term
@@ -255,3 +262,64 @@ def test_a_segmented_trunk_and_loss_match_each_client_alone(widths):
         assert [_bits(p.grad[c].reshape(q.grad.shape)) for p, q in zip(stack.parameters(), model.parameters())] == _grads(model)
         assert _bits(x.grad[rows]) == _bits(x_c.grad)
         start += width
+
+
+def _objective_setup(k: int, q: int, seed: int, equal_pair: bool = False):
+    """K frozen teachers stacked, a student, a generator, a pseudo batch's noise and labels, and GWF weights."""
+    rng = np.random.default_rng(seed)
+    stacked = nn.stack([nn.Classifier(2, 4, hidden=(6, 5), rng=np.random.default_rng([seed, i])) for i in range(k)])
+    student = nn.Classifier(2, 4, hidden=(6, 5), rng=np.random.default_rng([seed, k]))
+    gen = nn.Generator(noise_dim=7, num_classes=4, sample_dim=2, embed_dim=3, hidden=(8, 6), rng=rng)
+    noise = rng.standard_normal((q, 7))
+    labels = rng.integers(0, 4, size=q)
+    if equal_pair:  # two equal samples: a zero distance in both the noise and the samples
+        noise[1], labels[1] = noise[0], labels[0]
+    alpha = rng.random((k, 4))
+    alpha[rng.random((k, 4)) < 0.25] = 0.0  # a teacher without a class gets no share of its samples
+    return stacked, student, gen, noise, labels, GwfWeights(alpha=alpha)
+
+
+def _run_objective(objective_fn, setup, cfg, zdist):
+    stacked, student, gen, noise, labels, gwf = setup
+    twin = nn.Generator(7, 4, 2, embed_dim=3, hidden=(8, 6))
+    twin.load_param_vector(gen.param_vector())
+    batch = PseudoBatch(noise, labels, twin.forward(noise, labels))
+    objective, *parts = objective_fn(stacked, student, batch, gwf, cfg, zdist)
+    nn.backward(objective)
+    values = [_bits(objective.data)] + [_bits(np.float64(v)) for v in parts]
+    return values, _bits(batch.samples.grad), _grads(twin)
+
+
+# (teachers, batch size, literal_minimax, beta_cf, beta_div, two equal samples)
+OBJECTIVE_CASES = (
+    [(k, 9, literal, 1.0, 1.0, False) for k in TEACHER_COUNTS for literal in (False, True)]
+    + [(3, 9, False, 0.0, 1.0, False), (3, 9, True, 0.7, 0.0, False), (2, 9, False, 0.0, 0.0, False)]
+    + [(1, 1, False, 1.0, 1.0, False), (4, 1, True, 0.5, 2.0, False), (3, 6, False, 1.0, 1.0, True)]
+)
+
+
+@pytest.mark.parametrize("k, q, literal, beta_cf, beta_div, equal_pair", OBJECTIVE_CASES)
+def test_generator_objective_matches_the_chain_it_replaces(k, q, literal, beta_cf, beta_div, equal_pair):
+    """One node against the chain with a branched teacher forward: values, the samples' gradient, generator gradients."""
+    setup = _objective_setup(k, q, seed=60 + k + q, equal_pair=equal_pair)
+    cfg = DistillConfig(beta_cf=beta_cf, beta_div=beta_div, literal_minimax=literal)
+    noise = setup[3]
+    fused = _run_objective(_generator_objective, setup, cfg, nn.distances(noise))
+    plain = _run_objective(unfused_generator_objective, setup, cfg, broadcast_pairwise_distances(noise).data)
+    assert fused == plain
+
+
+def test_generator_objective_is_one_node_on_the_samples():
+    stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=70)
+    batch = PseudoBatch(noise, labels, gen.forward(noise, labels))
+    objective, *_ = _generator_objective(stacked, student, batch, gwf, DistillConfig(), nn.distances(noise))
+    assert objective._parents == (batch.samples,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_teacher_logit_still_diverges(bad):
+    stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=71)
+    stacked.layers[-1].b.data[1, 0, 2] = bad  # teacher 1's logits of class 2
+    batch = PseudoBatch(noise, labels, gen.forward(noise, labels))
+    with pytest.raises(DivergenceError):
+        _generator_objective(stacked, student, batch, gwf, DistillConfig(), nn.distances(noise))

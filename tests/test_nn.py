@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from disue import nn
 from disue.errors import DivergenceError, InvalidInputError, InvalidStateError
-from helpers import max_rel_error, model_gradient, numeric_gradient, ref_kl, tanh, well_separated_classifier
+from helpers import (
+    broadcast_pairwise_distances,
+    max_rel_error,
+    model_gradient,
+    numeric_gradient,
+    ref_kl,
+    tanh,
+    well_separated_classifier,
+)
 
 # ---------------------------------------------------------------------------
 # closed-form values
@@ -107,6 +115,12 @@ def test_param_vector_round_trip():
     twin = model.spawn(vec)
     assert np.array_equal(twin.param_vector(), vec)
     assert twin.param_count == model.param_count
+
+
+def test_param_vector_of_a_zero_row_stack_has_zero_rows():
+    """What is left of a local-training stack whose every client diverged."""
+    empty = nn.Classifier(2, 4, (8, 8)).spawn(np.zeros((0, 132)))
+    assert empty.param_vector().shape == (0, 132)
 
 
 def test_load_param_vector_rejects_wrong_length():
@@ -276,6 +290,25 @@ def test_pairwise_distances_match_the_plain_formula_bit_for_bit():
         x = rng.standard_normal((int(rng.integers(2, 60)), int(rng.integers(1, 120))))
         diff = x[:, None, :] - x[None, :, :]
         assert nn.pairwise_distances(x).data.tobytes() == np.sqrt((diff * diff).sum(axis=2)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [*range(1, 13), 16, 100, 129])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_pairwise_distances_match_the_broadcast_form_bit_for_bit(n, dim):
+    """The kernel computes each distance once, below and above numpy's 8-value pairwise block."""
+    rng = np.random.default_rng([n, dim])
+    data = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    if n > 2:
+        data[n // 2] = data[0]  # a duplicate row: zero distances, which pass no gradient
+    g = rng.standard_normal((n, n))
+
+    def run(distances):
+        x = nn.Tensor(data, requires_grad=True)
+        d = distances(x)
+        nn.backward(nn.tsum(nn.mul(d, g)))
+        return d.data.tobytes(), x.grad.tobytes()
+
+    assert run(nn.pairwise_distances) == run(broadcast_pairwise_distances)
 
 
 def test_pairwise_distances_zero_rows_give_finite_gradient():
