@@ -34,10 +34,6 @@ class GwfWeights:
 
     alpha: np.ndarray  # [K, num_classes], columns sum to 1 or are all zero
 
-    @property
-    def num_clusters(self) -> int:
-        return int(self.alpha.shape[0])
-
 
 def _weighted_mean(entries: Sequence[tuple[np.ndarray, int]], what: str) -> np.ndarray:
     if len(entries) == 0:

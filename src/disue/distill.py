@@ -93,11 +93,6 @@ def _draw_labels_and_noise(
     return labels, noise
 
 
-def _teacher_sample_weights(gwf: GwfWeights, labels: np.ndarray) -> np.ndarray:
-    """weights[k, i] = alpha[k, labels[i]]."""
-    return gwf.alpha[:, labels]
-
-
 def teacher_softmax(stacked: Classifier, samples: np.ndarray) -> np.ndarray:
     """[K, Q, classes]: the stacked teachers' class probabilities on a constant batch."""
     with nn.no_grad():
@@ -113,8 +108,7 @@ def loss_cd(teacher_probs: np.ndarray, student: Classifier, batch: PseudoBatch, 
     batch.samples, [K, Q, classes].
     """
     student_probs = nn.softmax(student.forward(batch.samples.data))  # samples constant for the student update
-    weights = _teacher_sample_weights(gwf, batch.labels)
-    return nn.mul(nn.weighted_kl(teacher_probs, student_probs, weights), 1.0 / batch.size)
+    return nn.mul(nn.weighted_kl(teacher_probs, student_probs, gwf.alpha[:, batch.labels]), 1.0 / batch.size)
 
 
 def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tensor:
@@ -124,8 +118,7 @@ def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tens
     [K, Q, classes] and live through the samples, so gradients reach the
     generator while teacher parameters stay frozen.
     """
-    weights = _teacher_sample_weights(gwf, batch.labels)
-    return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, weights), -1.0 / batch.size)
+    return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, gwf.alpha[:, batch.labels]), -1.0 / batch.size)
 
 
 def _diversity(xdist: np.ndarray, zdist: np.ndarray):
@@ -140,14 +133,13 @@ def _diversity(xdist: np.ndarray, zdist: np.ndarray):
     return value, bwd
 
 
-def loss_div(batch: PseudoBatch, zdist: np.ndarray | None = None) -> Tensor:
+def loss_div(batch: PseudoBatch) -> Tensor:
     """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse.
 
-    `zdist`, when given, must be nn.distances(batch.noise); callers that
-    reuse one noise draw pass it to skip the noise distances.
+    The generator step computes the same term inside its objective node.
     """
     xdist = nn.pairwise_distances(batch.samples)
-    value, div_bwd = _diversity(xdist.data, nn.distances(batch.noise) if zdist is None else zdist)
+    value, div_bwd = _diversity(xdist.data, nn.distances(batch.noise))
     return nn._node(value, (xdist,), lambda g: nn._accumulate(xdist, div_bwd(g), owned=True))
 
 
@@ -161,7 +153,7 @@ def _generator_objective(
     floats, which round as the 0-d arrays of the unfused chain do.
     """
     samples, labels, q = batch.samples, batch.labels, batch.size
-    weights = _teacher_sample_weights(gwf, labels)
+    weights = gwf.alpha[:, labels]
     with nn.no_grad():
         student_probs = nn.softmax(student.forward(samples.data)).data  # constant for the generator
     logits = stacked.forward(samples)  # not on the tape: the node runs its backward once

@@ -326,11 +326,9 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | N
             if i:  # in place: a broadcast mask product into fresh arrays measured 4x slower
                 g_in *= hs[i] > 0
                 g = np.add(g_in, 0.0, out=g_in)
-            elif g_in.ndim > x.data.ndim:  # each [batch, in] slice in order, over every leading axis
+            else:  # each [batch, in] slice in order, over every leading axis; without a stack the one slice
                 for part in g_in.reshape(-1, *x.data.shape):
                     _accumulate(x, part)
-            else:
-                _accumulate(x, g_in)
 
     params = tuple(t for layer in layers for t in (layer.w, layer.b))
     return _node(out, (x, *params), bwd)
@@ -607,7 +605,7 @@ class Module:
         return np.concatenate(rows, axis=-1)
 
     def load_param_vector(self, vec: np.ndarray) -> None:
-        """Load a flat [P] vector, or [C, P] rows as a stack: [C, in, out] weights, [C, 1, out] biases."""
+        """Load a flat [P] vector, or [C, P] rows as a stack ([C, in, out] weights, [C, 1, out] biases); drops every gradient."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.ndim not in (1, 2) or vec.shape[-1] != self.param_count:
             raise InvalidInputError(f"expected a flat vector of {self.param_count} values, got shape {vec.shape}")
@@ -617,24 +615,27 @@ class Module:
             n, shape = p.data.size, p.data.shape
             if lead and len(shape) == 1:
                 shape = (1, *shape)
-            p.data = vec[..., offset : offset + n].reshape(*lead, *shape).copy()
+            p.data, p.grad = vec[..., offset : offset + n].reshape(*lead, *shape).copy(), None
             offset += n
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
         """One SGD update with coupled weight decay: p <- p - lr * (g + weight_decay * p).
 
-        Every gradient is allocated with its parameter's shape, so only its
-        finiteness is checked, before any parameter moves. The update runs
-        the formula's ops in its order, in one buffer per parameter.
+        A step spends the gradients of one backward and sets each to None.
+        It refuses a missing or non-finite gradient before any parameter
+        moves, and then keeps them all. The update runs the formula's ops
+        in its order, in one buffer per parameter.
         """
         params = self.parameters()
+        if any(p.grad is None for p in params):
+            raise InvalidStateError("step without a gradient: run backward first")
         if not all(np.isfinite(p.grad).all() for p in params):
             raise DivergenceError("non-finite gradient")
         for p in params:
             update = np.multiply(weight_decay, p.data)
             np.add(p.grad, update, out=update)
             np.multiply(lr, update, out=update)
-            p.data = np.subtract(p.data, update, out=update)
+            p.data, p.grad = np.subtract(p.data, update, out=update), None
 
 
 class Classifier(Module):
@@ -661,11 +662,10 @@ class Classifier(Module):
             raise InvalidInputError(f"expected a [batch, {self.in_dim}] input, got shape {h.data.shape}")
         return mlp(h, self.layers, segments=segments)
 
-    def spawn(self, vec: np.ndarray | None = None) -> "Classifier":
-        """A same-shape classifier, optionally loaded from a flat vector; [C, P] rows give a stack of C."""
+    def spawn(self, vec: np.ndarray) -> "Classifier":
+        """A same-shape classifier loaded from a flat vector; [C, P] rows give a stack of C."""
         twin = Classifier(self.in_dim, self.num_classes, self.hidden, rng=None)
-        if vec is not None:
-            twin.load_param_vector(vec)
+        twin.load_param_vector(vec)
         return twin
 
 
@@ -676,8 +676,8 @@ def stack(models: Sequence[Classifier]) -> Classifier:
     slice k equals models[k].forward bit for bit.
     """
     stacked = models[0].spawn(np.stack([m.param_vector() for m in models]))
-    for p in stacked.parameters():
-        p.requires_grad, p.grad = False, None
+    for p in stacked.parameters():  # loading dropped every gradient
+        p.requires_grad = False
     return stacked
 
 

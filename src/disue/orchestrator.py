@@ -232,8 +232,6 @@ def local_train(
                     live, order = live[~bad], order[~bad]
                     segments = step_segments(live)
                     model = template.spawn(model.param_vector()[~bad])
-    for p in model.parameters():  # spent: free them before the rows are copied out
-        p.grad = None
     params = np.empty((len(shards), template.param_count))
     params[gone] = init_params[gone]  # a diverged client keeps a copy of its row
     # each parameter into its columns of the survivors' rows: a [C, P] temporary would be a second buffer to fill
@@ -462,7 +460,6 @@ class ExperimentResult:
 
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
     """Run cfg.rounds rounds for every seed in cfg.seeds."""
-    validate_config(cfg)
     result = ExperimentResult(variant=cfg.variant)
     for seed in cfg.seeds:
         sim = Simulation(cfg, seed)

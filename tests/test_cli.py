@@ -95,6 +95,27 @@ def test_unknown_keys_are_named_in_the_error(tmp_path):
         parse_config(str(path))
 
 
+def _config_file(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        (lambda tmp: config_from_dict({"dataset": 3}), "config key 'dataset' must be an object"),
+        (lambda tmp: config_from_dict([1]), "config document must be a JSON object"),
+        (lambda tmp: parse_config(_config_file(tmp, '{"rounds": ')), "is not valid JSON"),
+        (lambda tmp: parse_config(_config_file(tmp, "[1]")), "config document must be a JSON object"),
+    ],
+    ids=["nested key not an object", "document not an object", "file not JSON", "file not an object"],
+)
+def test_a_malformed_config_document_fails_naming_what_is_wrong(load, message, tmp_path):
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path)
+
+
 def test_overrides_beat_the_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"rounds": 5, "epsilon": 0.3}))
@@ -278,6 +299,14 @@ def test_read_round_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(InvalidInputError):
+        read_round_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,1,0.5", "0,1,0.5,0.5,nan,nan,nan,nan,1.0,7"], ids=["short row", "long row"])
+def test_read_round_csv_rejects_a_malformed_row(row, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    with pytest.raises(InvalidInputError, match="malformed metrics row"):
         read_round_csv(path)
 
 

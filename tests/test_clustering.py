@@ -74,6 +74,17 @@ def _energy(values, pref, exemplar_positions):
     return total
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros((1, 1)), np.zeros((2, 3))],
+    ids=["one client", "not square"],
+)
+def test_affinity_propagation_rejects_a_matrix_it_cannot_cluster(values):
+    sim = SimilarityMatrix(values=values, client_ids=list(range(values.shape[0])))
+    with pytest.raises(InvalidInputError, match="needs a square matrix over >= 2 clients"):
+        affinity_propagation(sim)
+
+
 def test_two_points_preferring_themselves_split():
     sim = SimilarityMatrix(values=np.array([[0.0, 0.1], [0.1, 0.0]]), client_ids=[0, 1])
     part = affinity_propagation(sim, preference=5.0)

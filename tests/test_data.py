@@ -101,6 +101,21 @@ def test_partition_is_deterministic():
         assert np.array_equal(pa.labels, pb.labels)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ds: dirichlet_partition(ds, 0, 0.5, seed=0), "need at least 1 client"),
+        (lambda ds: dirichlet_partition(ds, 2, 0.0, seed=0), "epsilon must be positive"),
+        (lambda ds: split_dataset(ds, 1.0, seed=0), r"fraction must be in \[0, 1\)"),
+        (lambda ds: split_client_holdout(ds, -0.5, seed=0), r"fraction must be in \[0, 1\)"),
+    ],
+    ids=["no clients", "zero epsilon", "split everything", "negative holdout"],
+)
+def test_a_split_rejects_arguments_outside_its_range(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call(make_synthetic_dataset(2, 4, 2, seed=0))
+
+
 def test_partition_rejects_more_clients_than_samples():
     ds = make_synthetic_dataset(2, 3, 2, seed=0)
     with pytest.raises(ConfigError):

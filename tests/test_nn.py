@@ -92,6 +92,52 @@ def test_sgd_step_zero_lr_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# gradient lifetime: from one backward to the step that spends it
+
+
+def _after_one_backward() -> nn.Classifier:
+    model = nn.Classifier(2, 4, (8, 8), rng=np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((5, 2))
+    nn.backward(nn.cross_entropy(model.forward(x), np.arange(5) % 4))
+    assert all(p.grad is not None for p in model.parameters())
+    return model
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["flat", "stack of 3"])
+def test_a_loaded_model_refuses_a_step_with_no_backward(rows):
+    vec = nn.Classifier(2, 4, (8, 8), rng=np.random.default_rng(0)).param_vector()
+    model = nn.Classifier(2, 4, (8, 8)).spawn(vec if rows is None else np.stack([vec] * rows))
+    before = model.param_vector()
+    with pytest.raises(InvalidStateError):
+        model.step(0.1, weight_decay=1e-3)
+    assert np.array_equal(model.param_vector(), before)
+
+
+def test_loading_parameters_drops_every_gradient():
+    model = _after_one_backward()
+    model.load_param_vector(model.param_vector())
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_a_step_spends_every_gradient():
+    model = _after_one_backward()
+    model.step(0.1, weight_decay=1e-3)
+    assert all(p.grad is None for p in model.parameters())
+    with pytest.raises(InvalidStateError):  # a second step needs a second backward
+        model.step(0.1)
+
+
+def test_a_step_refused_for_a_non_finite_gradient_keeps_every_gradient():
+    model = _after_one_backward()
+    model.layers[1].w.grad[3, 5] = np.nan
+    grads, before = [p.grad.copy() for p in model.parameters()], model.param_vector()
+    with pytest.raises(DivergenceError):
+        model.step(0.1, weight_decay=1e-3)
+    assert np.array_equal(model.param_vector(), before)
+    assert all(np.array_equal(p.grad, g, equal_nan=True) for p, g in zip(model.parameters(), grads))
+
+
+# ---------------------------------------------------------------------------
 # models
 
 
@@ -157,6 +203,40 @@ def test_backward_needs_scalar_loss():
         nn.backward(nn.mul(w, 2.0))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nn.embedding_rows(np.zeros((3, 2)), [0, 3]), "embedding index out of range"),
+        (lambda: nn.pairwise_distances(np.zeros(4)), "expects a 2-d batch"),
+        (lambda: nn.kl_divergence(np.full(3, 1 / 3), np.full(2, 0.5)), "kl_divergence shape mismatch"),
+        (lambda: nn.cross_entropy(np.zeros((2, 2, 3)), [0, 1]), r"expected \[batch, classes\] logits"),
+        (lambda: nn.log_likelihood(np.zeros((2, 3)), [0, 1], np.ones((1, 2))), r"expected \[K, batch, classes\] logits"),
+        (lambda: nn.cross_entropy(np.zeros((2, 3)), [[0], [1]]), "one label per row"),
+        (lambda: nn.Classifier(0, 3), "classifier needs in_dim >= 1"),
+        (lambda: nn.Classifier(2, 1), "and num_classes >= 2"),
+        (lambda: nn.Generator(2, 3, 2, embed_dim=0), "generator dimensions must be positive"),
+        (lambda: nn.Generator(2, 3, 2).forward(np.zeros((4, 3)), np.zeros(4)), r"expected \[batch, 2\] noise"),
+        (lambda: nn.Generator(2, 3, 2).forward(np.zeros((4, 2)), np.zeros(3)), "one label per noise row"),
+    ],
+    ids=[
+        "embedding index",
+        "distances of a 1-d input",
+        "kl shapes",
+        "label logits of rank 3",
+        "stacked label logits of rank 2",
+        "labels of the wrong shape",
+        "classifier input width",
+        "classifier classes",
+        "generator sizes",
+        "generator noise width",
+        "generator labels",
+    ],
+)
+def test_an_input_check_names_what_is_wrong(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 def test_disconnected_parameter_gets_zero_gradient():
     used = nn.Tensor(np.array([2.0]), requires_grad=True)
     unused = nn.Tensor(np.array([5.0]), requires_grad=True)
@@ -174,6 +254,17 @@ def test_repeated_backward_does_not_accumulate():
     nn.backward(loss)
     assert np.array_equal(w.grad, first_w)
     assert np.array_equal(h.grad, first_h)
+
+
+def test_add_sums_the_gradient_over_a_size_one_axis_keeping_it():
+    rng = np.random.default_rng(4)
+    row = nn.Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+    block = nn.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    upstream = rng.standard_normal((4, 3))
+    nn.backward(nn.tsum(nn.mul(nn.add(row, block), upstream)))
+    assert row.grad.shape == (1, 3)
+    assert np.array_equal(row.grad, upstream.sum(axis=0, keepdims=True))  # the column sums
+    assert np.array_equal(block.grad, upstream)
 
 
 def test_tensor_used_twice_gets_the_summed_gradient():
