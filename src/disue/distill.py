@@ -51,7 +51,7 @@ class PseudoBatch:
 
     noise: np.ndarray  # [Q, noise_dim]
     labels: np.ndarray  # [Q] int64
-    samples: Tensor  # [Q, sample_dim]; graph-attached when generated under grad
+    samples: Tensor  # [Q, sample_dim]; on the tape when generated by a live generator
 
     @property
     def size(self) -> int:
@@ -93,19 +93,13 @@ def _draw_labels_and_noise(
     return labels, noise
 
 
-def teacher_softmax(stacked: Classifier, samples: np.ndarray) -> np.ndarray:
-    """[K, Q, classes]: the stacked teachers' class probabilities on a constant batch."""
-    with nn.no_grad():
-        return nn.softmax(stacked.forward(samples)).data
-
-
 def loss_cd(teacher_probs: np.ndarray, student: Classifier, batch: PseudoBatch, gwf: GwfWeights) -> Tensor:
     """Cluster-distillation loss, student side live, teacher side constant.
 
     For every sample, the KL from each teacher's softmax to the student's is
     weighted by that teacher's share of the sample's conditioning class.
-    `teacher_probs` is teacher_softmax of the stacked teachers on
-    batch.samples, [K, Q, classes].
+    `teacher_probs` is the stacked teachers' softmax on batch.samples,
+    [K, Q, classes].
     """
     student_probs = nn.softmax(student.forward(batch.samples.data))  # samples constant for the student update
     return nn.mul(nn.weighted_kl(teacher_probs, student_probs, gwf.alpha[:, batch.labels]), 1.0 / batch.size)
@@ -121,14 +115,14 @@ def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tens
     return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, gwf.alpha[:, batch.labels]), -1.0 / batch.size)
 
 
-def _diversity(xdist: np.ndarray, zdist: np.ndarray):
-    """exp(mean of -xdist * zdist), and its backward to xdist, as the mul/tsum/mul/exp chain computes them."""
-    neg_zdist, scale = -zdist, 1.0 / zdist.size
+def _diversity(x: np.ndarray, zdist: np.ndarray):
+    """exp(mean of -||x_i - x_j|| * zdist) over [Q, D] samples x, and its backward to x, as the distance chain computes them."""
+    xdist, neg_zdist, scale = nn.distances(x), -zdist, 1.0 / zdist.size
     value = np.exp(float((xdist * neg_zdist).sum()) * scale)
 
     def bwd(g):
         g_sum = (g * value + 0.0) * scale + 0.0
-        return np.add(np.multiply(g_sum, neg_zdist), 0.0)
+        return nn.distances_grad(x, xdist, np.add(np.multiply(g_sum, neg_zdist), 0.0))
 
     return value, bwd
 
@@ -136,11 +130,10 @@ def _diversity(xdist: np.ndarray, zdist: np.ndarray):
 def loss_div(batch: PseudoBatch) -> Tensor:
     """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse.
 
-    The generator step computes the same term inside its objective node.
+    One node on the samples; the generator step computes the same term inside its objective node.
     """
-    xdist = nn.pairwise_distances(batch.samples)
-    value, div_bwd = _diversity(xdist.data, nn.distances(batch.noise))
-    return nn._node(value, (xdist,), lambda g: nn._accumulate(xdist, div_bwd(g), owned=True))
+    value, div_bwd = _diversity(batch.samples.data, nn.distances(batch.noise))
+    return nn._node(value, (batch.samples,), lambda g: nn._accumulate(batch.samples, div_bwd(g), owned=True))
 
 
 def _generator_objective(
@@ -154,15 +147,13 @@ def _generator_objective(
     """
     samples, labels, q = batch.samples, batch.labels, batch.size
     weights = gwf.alpha[:, labels]
-    with nn.no_grad():
-        student_probs = nn.softmax(student.forward(samples.data)).data  # constant for the generator
+    student_probs = nn.softmax(student.forward(samples.data)).data  # constant for the generator
     logits = stacked.forward(samples)  # not on the tape: the node runs its backward once
     rows = nn.SoftmaxRows(logits.data, "softmax")
     probs, log_probs = rows.probs(), rows.log_probs()
     kl, kl_bwd = nn.kl_terms(probs, student_probs, weights)
     ll, ll_bwd = nn.label_terms(log_probs, (..., np.arange(q), labels), weights)
-    xdist = nn.distances(samples.data)
-    div, div_bwd = _diversity(xdist, zdist)
+    div, div_bwd = _diversity(samples.data, zdist)
     cd, cf = float(kl) * (1.0 / q), float(ll) * (-1.0 / q)
     signed_cd = cd if cfg.literal_minimax else cd * -1.0
     objective = signed_cd + cf * cfg.beta_cf + div * cfg.beta_div
@@ -174,8 +165,7 @@ def _generator_objective(
         p_grad = np.add(p_grad, 0.0, out=p_grad) + p_rest  # as `_accumulate` gathers the probs' gradient
         g_logits = np.stack([nn.softmax_grad(probs, p_grad), ll_bwd((g * cfg.beta_cf + 0.0) * (-1.0 / q) + 0.0)])
         logits._bwd(np.add(g_logits, 0.0, out=g_logits))  # cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}, into the samples
-        g_xdist = div_bwd(g * cfg.beta_div + 0.0)
-        nn._accumulate(samples, nn.distances_grad(samples.data, xdist, g_xdist), owned=True)  # then div
+        nn._accumulate(samples, div_bwd(g * cfg.beta_div + 0.0), owned=True)  # then div
 
     return nn._node(objective, (samples,), bwd), cd, cf, float(div)
 
@@ -212,10 +202,8 @@ def iga_round(
                 nn.backward(objective)
                 generator.step(cfg.gen_lr)
                 trace.append(IgaRecord("gen", inner, cd_val, cf_val, div_val, objective.item()))
-            with nn.no_grad():
-                frozen_samples = generator.forward(noise, labels)
-            fixed = PseudoBatch(noise, labels, frozen_samples)
-            fixed_probs = teacher_softmax(stacked, frozen_samples.data)
+            fixed = PseudoBatch(noise, labels, generator.forward(noise, labels))
+            fixed_probs = nn.softmax(stacked.forward(fixed.samples.data)).data
             for _ in range(cfg.student_steps):
                 cd = loss_cd(fixed_probs, student, fixed, gwf)
                 if not np.isfinite(cd.item()):

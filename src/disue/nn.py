@@ -8,37 +8,22 @@ reproduce identical parameters bit for bit.
 The hot chains are single fused nodes: a network trunk (`mlp`), the
 weighted KL of K teachers and the label log-likelihood (`weighted_kl`,
 `cross_entropy`, `log_likelihood`). Their array kernels (`SoftmaxRows`,
-`kl_terms`, `label_terms`, `distances`) serve distill's generator node
-too. Each backward replays the numpy ops of the one-op-per-node chain it
-replaces, per teacher and in its order, so values and gradients match it
-bit for bit; tests/helpers.py keeps the chain as the oracle. A fresh
-gradient gets +0.0 as `_accumulate` gives it, turning -0.0 into 0.0, so a
-stored one holds no -0.0 and the chain's copies of it are skipped.
+`kl_terms`, `label_terms`, `distances`, `distances_grad`) serve distill's
+generator node and diversity term too. Each backward replays the numpy
+ops of the one-op-per-node chain it replaces, per teacher and in its
+order, so values and gradients match it bit for bit; tests/helpers.py
+keeps the chain as the oracle. A fresh gradient gets +0.0 as
+`_accumulate` gives it, turning -0.0 into 0.0, so a stored one holds no
+-0.0 and the chain's copies of it are skipped.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, InvalidStateError
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (eval, teacher forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
 
 class Tensor:
     """Array node of a dynamically recorded computation graph."""
@@ -64,13 +49,11 @@ def as_tensor(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd: Callable[[np.ndarray], None]) -> Tensor:
+    """A node that records its parents and backward exactly when one of them can take a gradient."""
     out = Tensor(data)
-    if _grad_enabled:
-        for p in parents:
-            if p.requires_grad or p._parents:
-                out._parents = parents
-                out._bwd = bwd
-                break
+    if any(p.needs_grad() for p in parents):
+        out._parents = parents
+        out._bwd = bwd
     return out
 
 
@@ -401,20 +384,6 @@ def distances_grad(x: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
     return w.sum(axis=1)[:, None] * x - w @ x
 
 
-def pairwise_distances(x) -> Tensor:
-    """Euclidean distance between every pair of rows, differentiable in x."""
-    t = as_tensor(x)
-    if t.data.ndim != 2:
-        raise InvalidInputError("pairwise_distances expects a 2-d batch")
-    d = distances(t.data)
-
-    def bwd(g):
-        if t.needs_grad():
-            _accumulate(t, distances_grad(t.data, d, g), owned=True)
-
-    return _node(d, (t,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -590,6 +559,8 @@ class Module:
             Dense(dims[i], dims[i + 1], rng, gain=np.sqrt(2.0) if i + 2 < len(dims) else 1.0)
             for i in range(len(dims) - 1)
         ]
+        for p in self.parameters():  # a model starts with no gradient, so it cannot step before a backward
+            p.grad = None
 
     def parameters(self) -> list[Tensor]:
         return [t for layer in self.layers for t in (layer.w, layer.b)]
@@ -696,13 +667,9 @@ class Generator(Module):
         if min(noise_dim, num_classes, sample_dim, embed_dim) < 1:
             raise InvalidInputError("generator dimensions must be positive")
         self.noise_dim = noise_dim
-        self.num_classes = num_classes
-        self.sample_dim = sample_dim
-        self.embed_dim = embed_dim
-        self.hidden = tuple(hidden)
         embed = np.zeros((num_classes, embed_dim)) if rng is None else rng.normal(0.0, 1.0, size=(num_classes, embed_dim))
         self.embed = Tensor(embed, requires_grad=True)  # drawn before the trunk
-        super().__init__([noise_dim + embed_dim, *self.hidden, sample_dim], rng)
+        super().__init__([noise_dim + embed_dim, *hidden, sample_dim], rng)
 
     def parameters(self) -> list[Tensor]:
         return [self.embed, *super().parameters()]
@@ -718,10 +685,8 @@ class Generator(Module):
 
 
 def accuracy(model: Classifier, features: np.ndarray, labels: np.ndarray) -> float:
-    """Share of argmax predictions equal to the labels, without recording a graph."""
+    """Share of argmax predictions equal to the labels."""
     labels = np.asarray(labels)
     if labels.size == 0:
         return float("nan")
-    with no_grad():
-        logits = model.forward(features)
-    return float(np.mean(np.argmax(logits.data, axis=1) == labels))
+    return float(np.mean(np.argmax(model.forward(features).data, axis=1) == labels))

@@ -460,6 +460,7 @@ class ExperimentResult:
 
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
     """Run cfg.rounds rounds for every seed in cfg.seeds."""
+    validate_config(cfg)  # before any seed runs: an empty seed list would return no rows
     result = ExperimentResult(variant=cfg.variant)
     for seed in cfg.seeds:
         sim = Simulation(cfg, seed)

@@ -332,8 +332,7 @@ def unfused_generator_objective(stacked, student, batch, gwf, cfg, zdist):
     distance/mul/tsum/mul/exp chain.
     """
     weights = gwf.alpha[:, batch.labels]
-    with nn.no_grad():
-        student_probs = nn.softmax(student.forward(batch.samples.data)).data
+    student_probs = nn.softmax(student.forward(batch.samples.data)).data
     logits = stacked.forward(batch.samples)
     cd = nn.mul(nn.weighted_kl(nn.softmax(logits), student_probs, weights), 1.0 / batch.size)
     cf = nn.mul(nn.log_likelihood(branch(logits), batch.labels, weights), -1.0 / batch.size)

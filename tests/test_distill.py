@@ -19,7 +19,6 @@ from disue.distill import (
     loss_cd,
     loss_cf,
     loss_div,
-    teacher_softmax,
 )
 from disue.errors import ConfigError, DivergenceError, InvalidInputError
 from disue.nn import Classifier, Generator, Tensor, backward, cross_entropy
@@ -46,7 +45,7 @@ def _batch_from(samples, noise, labels):
 
 
 def _cd(teachers, student, batch, gwf):
-    return loss_cd(teacher_softmax(nn.stack(teachers), batch.samples.data), student, batch, gwf)
+    return loss_cd(nn.softmax(nn.stack(teachers).forward(batch.samples.data)).data, student, batch, gwf)
 
 
 def _cf(teachers, batch, gwf):
@@ -85,10 +84,9 @@ def test_loss_cd_single_teacher_equals_plain_kl():
     x = np.random.default_rng(3).normal(size=(8, 2))
     batch = _batch_from(x, np.zeros((8, 3)), np.arange(8) % 4)
     got = _cd([teacher], student, batch, _one_teacher_gwf()).item()
-    with nn.no_grad():
-        p = nn.softmax(teacher.forward(x))
-        q = nn.softmax(student.forward(x))
-        want = nn.kl_divergence(p.data, q).item()
+    p = nn.softmax(teacher.forward(x)).data
+    q = nn.softmax(student.forward(x)).data
+    want = nn.kl_divergence(p, q).item()
     assert abs(got - want) < 1e-12
 
 
@@ -303,13 +301,12 @@ def _train(model, X, y, epochs, lr, rng):
 def _truthfulness(gen, teachers, gwf, gls, count=400):
     """How often the weighted teacher mixture classifies a synthesized sample
     as the label it was conditioned on."""
-    with nn.no_grad():
-        labels, noise = _draw_labels_and_noise(gls, count, gen.noise_dim, np.random.default_rng(12345))
-        samples = gen.forward(noise, labels)
-        probs = [nn.softmax(t.forward(samples)).data for t in teachers]
-        w = gwf.alpha[:, labels]
-        mix = sum(w[k][:, None] * probs[k] for k in range(len(teachers)))
-        return float(np.mean(np.argmax(mix, axis=1) == labels))
+    labels, noise = _draw_labels_and_noise(gls, count, gen.noise_dim, np.random.default_rng(12345))
+    samples = gen.forward(noise, labels).data
+    probs = [nn.softmax(t.forward(samples)).data for t in teachers]
+    w = gwf.alpha[:, labels]
+    mix = sum(w[k][:, None] * probs[k] for k in range(len(teachers)))
+    return float(np.mean(np.argmax(mix, axis=1) == labels))
 
 
 def test_two_expert_fusion_mechanism():

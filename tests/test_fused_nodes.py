@@ -316,6 +316,15 @@ def test_generator_objective_is_one_node_on_the_samples():
     assert objective._parents == (batch.samples,)
 
 
+def test_generator_objective_backward_leaves_student_and_teachers_without_gradient():
+    stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=72)
+    batch = PseudoBatch(noise, labels, gen.forward(noise, labels))
+    objective, *_ = _generator_objective(stacked, student, batch, gwf, DistillConfig(), nn.distances(noise))
+    nn.backward(objective)
+    assert all(p.grad is None for p in (*student.parameters(), *stacked.parameters()))
+    assert all(p.grad is not None for p in gen.parameters())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_teacher_logit_still_diverges(bad):
     stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=71)

@@ -207,7 +207,6 @@ def test_backward_needs_scalar_loss():
     "call, message",
     [
         (lambda: nn.embedding_rows(np.zeros((3, 2)), [0, 3]), "embedding index out of range"),
-        (lambda: nn.pairwise_distances(np.zeros(4)), "expects a 2-d batch"),
         (lambda: nn.kl_divergence(np.full(3, 1 / 3), np.full(2, 0.5)), "kl_divergence shape mismatch"),
         (lambda: nn.cross_entropy(np.zeros((2, 2, 3)), [0, 1]), r"expected \[batch, classes\] logits"),
         (lambda: nn.log_likelihood(np.zeros((2, 3)), [0, 1], np.ones((1, 2))), r"expected \[K, batch, classes\] logits"),
@@ -220,7 +219,6 @@ def test_backward_needs_scalar_loss():
     ],
     ids=[
         "embedding index",
-        "distances of a 1-d input",
         "kl shapes",
         "label logits of rank 3",
         "stacked label logits of rank 2",
@@ -295,13 +293,32 @@ def test_gradient_arriving_as_a_view_is_not_aliased():
     assert np.array_equal(out.grad, np.full((2, 5), 3.0))
 
 
-def test_no_grad_blocks_recording():
-    w = nn.Tensor(np.ones(2), requires_grad=True)
-    with nn.no_grad():
-        out = nn.mul(w, 3.0)
-    assert out._parents == ()
+def test_a_node_records_exactly_when_a_parent_can_take_a_gradient():
+    out = nn.mul(nn.Tensor(np.ones(2)), 3.0)
+    assert out._parents == () and out._bwd is None
     with pytest.raises(InvalidStateError):
         nn.backward(nn.tsum(out))
+    rng = np.random.default_rng(0)
+    frozen = nn.stack([nn.Classifier(2, 3, (4,), rng=rng) for _ in range(2)])
+    batch = rng.standard_normal((5, 2))
+    logits = frozen.forward(batch)
+    assert logits._parents == () and logits._bwd is None
+    with pytest.raises(InvalidStateError):
+        nn.backward(nn.tsum(logits))
+    live = nn.Tensor(batch, requires_grad=True)
+    nn.backward(nn.tsum(frozen.forward(live)))
+    assert live.grad.shape == batch.shape
+    assert all(p.grad is None for p in frozen.parameters())
+
+
+def test_a_fresh_module_cannot_step_before_a_backward():
+    rng = np.random.default_rng(0)
+    for model, weight_decay in ((nn.Classifier(2, 4, (8, 8), rng=rng), 0.5), (nn.Generator(3, 4, 2, rng=rng), 0.0)):
+        before = model.param_vector()
+        assert all(p.grad is None for p in model.parameters())
+        with pytest.raises(InvalidStateError, match="run backward first"):
+            model.step(0.1, weight_decay=weight_decay)
+        assert np.array_equal(model.param_vector(), before)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +383,10 @@ def test_pairwise_distances_gradient_matches_finite_differences():
     zdist = np.abs(rng.standard_normal((4, 4)))
 
     def value(flat):
-        t = nn.Tensor(flat.reshape(4, 3), requires_grad=True)
-        return nn.tsum(nn.mul(nn.pairwise_distances(t), zdist)).item()
+        return float((nn.distances(flat.reshape(4, 3)) * zdist).sum())
 
-    t = nn.Tensor(x0, requires_grad=True)
-    nn.backward(nn.tsum(nn.mul(nn.pairwise_distances(t), zdist)))
-    assert max_rel_error(t.grad.ravel(), numeric_gradient(value, x0.ravel().copy())) < 1e-4
+    grad = nn.distances_grad(x0, nn.distances(x0), zdist)
+    assert max_rel_error(grad.ravel(), numeric_gradient(value, x0.ravel().copy())) < 1e-4
 
 
 def test_pairwise_distances_match_the_plain_formula_bit_for_bit():
@@ -380,32 +395,29 @@ def test_pairwise_distances_match_the_plain_formula_bit_for_bit():
     for _ in range(20):
         x = rng.standard_normal((int(rng.integers(2, 60)), int(rng.integers(1, 120))))
         diff = x[:, None, :] - x[None, :, :]
-        assert nn.pairwise_distances(x).data.tobytes() == np.sqrt((diff * diff).sum(axis=2)).tobytes()
+        assert nn.distances(x).tobytes() == np.sqrt((diff * diff).sum(axis=2)).tobytes()
 
 
 @pytest.mark.parametrize("dim", [*range(1, 13), 16, 100, 129])
 @pytest.mark.parametrize("n", [1, 2, 50])
 def test_pairwise_distances_match_the_broadcast_form_bit_for_bit(n, dim):
-    """The kernel computes each distance once, below and above numpy's 8-value pairwise block."""
+    """The kernels compute each distance once, below and above numpy's 8-value pairwise block."""
     rng = np.random.default_rng([n, dim])
     data = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, size=dim)
     if n > 2:
         data[n // 2] = data[0]  # a duplicate row: zero distances, which pass no gradient
     g = rng.standard_normal((n, n))
-
-    def run(distances):
-        x = nn.Tensor(data, requires_grad=True)
-        d = distances(x)
-        nn.backward(nn.tsum(nn.mul(d, g)))
-        return d.data.tobytes(), x.grad.tobytes()
-
-    assert run(nn.pairwise_distances) == run(broadcast_pairwise_distances)
+    x = nn.Tensor(data, requires_grad=True)
+    d = broadcast_pairwise_distances(x)
+    nn.backward(nn.tsum(nn.mul(d, g)))
+    kernel = nn.distances(data)
+    # + 0.0, as `_accumulate` gives a fresh gradient: at n = 1 the two differ only in the sign of a zero
+    assert (kernel.tobytes(), (nn.distances_grad(data, kernel, g) + 0.0).tobytes()) == (d.data.tobytes(), x.grad.tobytes())
 
 
 def test_pairwise_distances_zero_rows_give_finite_gradient():
-    t = nn.Tensor(np.zeros((3, 2)), requires_grad=True)
-    nn.backward(nn.tsum(nn.pairwise_distances(t)))
-    assert np.all(np.isfinite(t.grad))
+    x = np.zeros((3, 2))
+    assert np.all(np.isfinite(nn.distances_grad(x, nn.distances(x), np.ones((3, 3)))))
 
 
 # ---------------------------------------------------------------------------

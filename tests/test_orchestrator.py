@@ -19,7 +19,7 @@ from disue.aggregation import compute_gls
 from disue.config import VARIANT_SPECS, VARIANTS, DatasetConfig, SimConfig
 from disue.data import Dataset
 from disue.distill import DistillConfig
-from disue.errors import InvalidInputError
+from disue.errors import ConfigError, InvalidInputError
 from disue.metrics import CSV_HEADER, strip_wall_ms
 from disue.orchestrator import (
     FederatedData,
@@ -329,6 +329,11 @@ def test_run_experiment_covers_all_seeds():
     assert sorted(result.rows_by_seed) == [0, 1]
     assert all(len(rows) == cfg.rounds for rows in result.rows_by_seed.values())
     assert rows_key(result.rows_by_seed[0]) != rows_key(result.rows_by_seed[1])
+
+
+def test_run_experiment_rejects_a_config_without_seeds():
+    with pytest.raises(ConfigError, match="seeds"):
+        run_experiment(tiny_cfg(variant="fedavg", seeds=[]))
 
 
 def test_label_count_table_matches_brute_recount():
