@@ -15,8 +15,8 @@ single-cluster fallback. These are the standard settings of Frey and
 Dueck (Science 2007), and no caller changes them. The preference
 (diagonal) defaults to the median off-diagonal similarity, and the
 number of clusters is whatever emerges; it is never chosen up front.
-Each sweep runs in place, in buffers allocated once per call, with the
-ufuncs of the plain expressions in their order: no bit moves.
+Each sweep runs in place, in one work buffer beside the two message sets,
+with the ufuncs of the plain expressions in their order: no bit moves.
 """
 from __future__ import annotations
 
@@ -68,16 +68,21 @@ class ClusterPartition:
         return len(self.members)
 
 
-def build_similarity_matrix(masked: list[MaskedParams]) -> SimilarityMatrix:
-    """All pairwise similarities from one round's masked uploads."""
+def build_similarity_matrix(masked: list[MaskedParams] | np.ndarray, client_ids: list[int] | None = None) -> SimilarityMatrix:
+    """All pairwise similarities of one round's masked uploads: a list, or their rows (only read) named by `client_ids`."""
     if len(masked) < 2:
         raise InvalidInputError("similarity needs at least 2 clients; smaller rounds are a degenerate single cluster")
-    check_pairing(masked)
-    stacked = np.stack([m.masked_vector for m in masked])
-    values = stacked @ stacked.T
-    values = (values + values.T) / 2.0  # exact symmetry, float dot is order-sensitive
+    if client_ids is None:
+        check_pairing(masked)
+        client_ids = [m.client_id for m in masked]
+        masked = np.stack([m.masked_vector for m in masked])
+    elif len(client_ids) != len(masked):
+        raise InvalidInputError(f"similarity got {len(masked)} rows but {len(client_ids)} client ids")
+    values = masked @ masked.T
+    values += values.T  # exact symmetry, float dot is order-sensitive
+    values /= 2.0
     np.fill_diagonal(values, 0.0)
-    return SimilarityMatrix(values=values, client_ids=[m.client_id for m in masked])
+    return SimilarityMatrix(values=values, client_ids=list(client_ids))
 
 
 def affinity_propagation(sim: SimilarityMatrix, preference: float | None = None) -> ClusterPartition:
@@ -96,29 +101,27 @@ def affinity_propagation(sim: SimilarityMatrix, preference: float | None = None)
 
     r = np.zeros((n, n))
     a = np.zeros((n, n))
-    aps = np.empty((n, n))
-    scratch = np.empty((n, n))
-    second = np.empty(n)
+    w = np.empty((n, n))  # a + s, then r_new, then max(r, 0), then a_new: each spent before the next overwrites it
     idx = np.arange(n)
     exemplars = np.zeros(n, dtype=bool)
     stable = 0
     it = 0
     for it in range(1, MAX_SWEEPS + 1):
         # responsibilities
-        np.add(a, s, out=aps)
+        aps = np.add(a, s, out=w)
         first_k = np.argmax(aps, axis=1)
         first = aps[idx, first_k]
         aps[idx, first_k] = -np.inf
-        np.max(aps, axis=1, out=second)
-        r_new = np.subtract(s, first[:, None], out=scratch)
+        second = aps.max(axis=1)
+        r_new = np.subtract(s, first[:, None], out=w)
         r_new[idx, first_k] = s[idx, first_k] - second
         np.add(np.multiply(DAMPING, r, out=r), np.multiply(1.0 - DAMPING, r_new, out=r_new), out=r)
 
         # availabilities
-        rp = np.maximum(r, 0.0, out=scratch)
+        rp = np.maximum(r, 0.0, out=w)
         np.fill_diagonal(rp, r.diagonal())
         col = rp.sum(axis=0)
-        a_new = np.subtract(col[None, :], rp, out=scratch)
+        a_new = np.subtract(col[None, :], rp, out=w)
         diag = a_new.diagonal().copy()
         np.minimum(a_new, 0.0, out=a_new)
         np.fill_diagonal(a_new, diag)

@@ -137,17 +137,15 @@ def dirichlet_partition(dataset: Dataset, num_clients: int, epsilon: float, seed
 
 def _cover_empty_clients(pools: list[np.ndarray]) -> None:
     """Move single samples from the largest pools into empty ones, in place."""
-    while True:
-        empty = [c for c, pool in enumerate(pools) if pool.size == 0]
-        if not empty:
-            return
-        sizes = np.array([pool.size for pool in pools])
+    sizes = np.array([pool.size for pool in pools])
+    for target in np.flatnonzero(sizes == 0):  # a donor keeps at least one, so no pool empties on the way
         donor = int(np.argmax(sizes))
         if sizes[donor] < 2:
             raise InvalidStateError("not enough samples to give every client one")
-        target = empty[0]
         pools[target] = pools[donor][-1:]
         pools[donor] = pools[donor][:-1]
+        sizes[donor] -= 1
+        sizes[target] = 1
 
 
 def split_dataset(dataset: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:

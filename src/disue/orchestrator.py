@@ -342,8 +342,13 @@ class Simulation:
         return params_by_client, float(np.mean(kept)) if kept.size else float("nan")
 
     def _cluster_actives(self, actives: np.ndarray, params_by_client: dict[int, np.ndarray], round_index: int) -> ClusterPartition:
-        masked = [ssc_encrypt(params_by_client[cid], self.secure, round_index, cid) for cid in actives.tolist()]
-        partition = affinity_propagation(build_similarity_matrix(masked))
+        ids = actives.tolist()
+        rows = np.empty((len(ids), params_by_client[ids[0]].size))  # the one masked copy, in client-id order
+        for i, cid in enumerate(ids):
+            rows[i] = ssc_encrypt(params_by_client[cid], self.secure, round_index, cid).masked_vector
+        sim = build_similarity_matrix(rows, ids)
+        del rows  # AP runs beside the similarities alone
+        partition = affinity_propagation(sim)
         if partition.fallback:
             self.events.append(Event(round_index, "clustering", "no exemplar emerged; fell back to a single cluster"))
         if not partition.converged and not partition.fallback:

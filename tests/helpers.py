@@ -6,7 +6,7 @@ import numpy as np
 from disue import nn
 from disue.clustering import DAMPING, MAX_SWEEPS, STABLE_SWEEPS, ClusterPartition, SimilarityMatrix
 from disue.data import Dataset
-from disue.errors import DivergenceError, InvalidInputError
+from disue.errors import DivergenceError, InvalidInputError, InvalidStateError
 from disue.orchestrator import ClientShard, FederatedData
 
 
@@ -89,6 +89,21 @@ def reference_local_train(data: Dataset, init_params, template, epochs, lr, batc
     except DivergenceError:
         return init_params.copy(), float("nan"), True
     return model.param_vector(), float(np.mean(losses)), False
+
+
+def reference_cover_empty_clients(pools: list[np.ndarray]) -> None:
+    """Give each empty pool one sample from the largest pool, rescanning every pool after each move."""
+    while True:
+        empty = [c for c, pool in enumerate(pools) if pool.size == 0]
+        if not empty:
+            return
+        sizes = np.array([pool.size for pool in pools])
+        donor = int(np.argmax(sizes))
+        if sizes[donor] < 2:
+            raise InvalidStateError("not enough samples to give every client one")
+        target = empty[0]
+        pools[target] = pools[donor][-1:]
+        pools[donor] = pools[donor][:-1]
 
 
 def identical_client_data(n_clients: int, per_class: int, num_classes: int = 4) -> FederatedData:

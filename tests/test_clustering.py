@@ -183,6 +183,35 @@ def test_client_ids_pass_through():
     assert sorted(c for m in part.members for c in m) == ids
 
 
+@pytest.mark.parametrize("n, dim", [(2, 3), (7, 30), (40, 200), (120, 4612)])
+def test_the_row_matrix_form_equals_the_list_form(n, dim):
+    rng = np.random.default_rng(n * dim)
+    ids = sorted(rng.choice(10 * n, size=n, replace=False).tolist())
+    masked = [ssc_encrypt(rng.normal(size=dim), SecParams(4), 3, cid) for cid in ids]
+    rows = np.empty((n, dim))
+    for i, m in enumerate(masked):
+        rows[i] = m.masked_vector
+    from_list = build_similarity_matrix(masked)
+    from_rows = build_similarity_matrix(rows, ids)
+    assert from_rows.values.tobytes() == from_list.values.tobytes()
+    assert from_rows.client_ids == from_list.client_ids == ids
+
+
+def test_both_similarity_forms_refuse_fewer_than_two_clients():
+    for n in (0, 1):
+        masked = [ssc_encrypt(np.ones(4), SecParams(0), 0, cid) for cid in range(n)]
+        with pytest.raises(InvalidInputError, match="at least 2 clients"):
+            build_similarity_matrix(masked)
+        with pytest.raises(InvalidInputError, match="at least 2 clients"):
+            build_similarity_matrix(np.ones((n, 4)), list(range(n)))
+
+
+def test_a_row_matrix_needs_one_client_id_per_row():
+    for ids in ([0, 1], [0, 1, 2, 3]):
+        with pytest.raises(InvalidInputError, match=f"3 rows but {len(ids)} client ids"):
+            build_similarity_matrix(np.ones((3, 4)), ids)
+
+
 def test_singleton_partition():
     part = singleton_partition([3, 1, 8])
     assert part.num_clusters == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from disue.data import (
     Dataset,
+    _cover_empty_clients,
     class_centers,
     dirichlet_partition,
     label_counts,
@@ -15,7 +16,8 @@ from disue.data import (
     split_client_holdout,
     split_dataset,
 )
-from disue.errors import ConfigError, InvalidInputError
+from disue.errors import ConfigError, InvalidInputError, InvalidStateError
+from helpers import reference_cover_empty_clients
 
 
 def nearest_centroid_accuracy(ds, means) -> float:
@@ -114,6 +116,39 @@ def test_partition_is_deterministic():
 def test_a_split_rejects_arguments_outside_its_range(call, message):
     with pytest.raises(InvalidInputError, match=message):
         call(make_synthetic_dataset(2, 4, 2, seed=0))
+
+
+def _covered(cover, pools):
+    """The pools after `cover`, and its error message, if it raised one."""
+    pools = list(pools)
+    try:
+        cover(pools)
+    except InvalidStateError as exc:
+        return pools, str(exc)
+    return pools, None
+
+
+def test_covering_empty_clients_matches_the_rescanning_loop():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for case in range(1000):
+        num_pools = int(rng.integers(1, 40))
+        sizes = rng.integers(0, int(rng.integers(1, 6)), size=num_pools) * (rng.random(num_pools) < rng.random())
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        pools = [np.arange(offsets[c], offsets[c + 1]) for c in range(num_pools)]
+        got, got_error = _covered(_cover_empty_clients, pools)
+        want, want_error = _covered(reference_cover_empty_clients, pools)
+        assert got_error == want_error, case
+        assert [p.tolist() for p in got] == [p.tolist() for p in want], case
+        outcomes.add(got_error)
+    assert outcomes == {None, "not enough samples to give every client one"}
+
+
+def test_covering_empty_clients_refuses_too_few_samples():
+    pools = [np.array([0, 1]), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)]
+    with pytest.raises(InvalidStateError, match="not enough samples to give every client one"):
+        _cover_empty_clients(pools)
+    assert [p.tolist() for p in pools] == [[0], [1], []]  # the first move landed, as in the rescanning loop
 
 
 def test_partition_rejects_more_clients_than_samples():

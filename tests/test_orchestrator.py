@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -334,6 +335,22 @@ def test_run_experiment_covers_all_seeds():
 def test_run_experiment_rejects_a_config_without_seeds():
     with pytest.raises(ConfigError, match="seeds"):
         run_experiment(tiny_cfg(variant="fedavg", seeds=[]))
+
+
+def test_the_clustering_step_holds_one_masked_copy_of_the_trained_rows():
+    cfg = SimConfig(variant="disue_minus_iga", clients=120, act=1.0, local_epochs=1, seeds=[3], dataset=DatasetConfig(samples_per_class=1000))
+    sim = Simulation(cfg, seed=3)
+    actives = sample_active_clients(cfg.clients, cfg.act, 0, 3)
+    params_by_client, _ = sim._train_actives(sim.state, actives)
+    tracemalloc.start()
+    try:
+        sim._cluster_actives(actives, params_by_client, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_copy = actives.size * sim.state.global_params.size * 8
+    # the masked rows, one upload in flight and the [n, n] buffers; a second [n, P] copy would read above 2
+    assert peak <= 1.5 * one_copy, peak / one_copy
 
 
 def test_label_count_table_matches_brute_recount():
