@@ -15,6 +15,9 @@ single-cluster fallback. These are the standard settings of Frey and
 Dueck (Science 2007), and no caller changes them. The preference
 (diagonal) defaults to the median off-diagonal similarity, and the
 number of clusters is whatever emerges; it is never chosen up front.
+The median is np.median's, bit for bit: partition the off-diagonal copy
+at its two middle values and its last (nan if that is nan), then np.mean
+of the two middle values, without the numpy.ma import np.median makes.
 Each sweep runs in place, in one work buffer beside the two message sets,
 with the ufuncs of the plain expressions in their order: no bit moves.
 """
@@ -85,6 +88,13 @@ def build_similarity_matrix(masked: list[MaskedParams] | np.ndarray, client_ids:
     return SimilarityMatrix(values=values, client_ids=list(client_ids))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of an even count of values, bit for bit, partitioning them in place; np.median imports numpy.ma."""
+    h = values.size // 2
+    values.partition([h - 1, h, values.size - 1])
+    return float("nan") if np.isnan(values[-1]) else float(np.mean(values[h - 1 : h + 1]))
+
+
 def affinity_propagation(sim: SimilarityMatrix, preference: float | None = None) -> ClusterPartition:
     """Cluster clients by message passing on the similarity matrix.
 
@@ -94,8 +104,7 @@ def affinity_propagation(sim: SimilarityMatrix, preference: float | None = None)
     n = sim.n
     if sim.values.shape != (n, n) or n < 2:
         raise InvalidInputError("affinity_propagation needs a square matrix over >= 2 clients")
-    off_diag = sim.values[~np.eye(n, dtype=bool)]
-    pref = float(np.median(off_diag)) if preference is None else float(preference)
+    pref = _median(sim.values[~np.eye(n, dtype=bool)]) if preference is None else float(preference)
     s = sim.values.copy()
     np.fill_diagonal(s, pref)
 

@@ -79,11 +79,11 @@ _TAG_ACTIVE = 6
 _TAG_LOCAL = 7
 _TAG_IGA = 8
 
-# clients per training stack: on the `cluster-300` benchmark (2 vCPUs) one
-# ragged stack of all 260 full-batch clients trained slower than stacks of
-# at most 64 (about 30 against 23 ms per round), and its [C, P] buffers
-# raised the peak memory by about 7.5 MiB
-_MAX_STACK = 64
+# clients per training stack: a stack's working set is about 3.7 times its
+# [C, P] rows, mostly activations (8.8 MB for the 64 largest full-batch clients
+# of `cluster-300`, 5.0 for the 32 largest), and the heap it leaves stays
+# resident through clustering; any split gives the same bits
+_MAX_STACK = 32
 
 
 def stream(master_seed: int, tag: int, *extra: int) -> np.random.Generator:

@@ -37,11 +37,11 @@ class MaskedParams:
     epoch_tag: int  # round index the mask was derived for
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _mask_streams(sec: SecParams, round_index: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     # one deterministic stream per (seed, round), whatever dim, so vectors of the
-    # wrong length cannot silently pair up later; the cache hands the one draw
-    # to every upload of the round, so the arrays are read-only
+    # wrong length cannot silently pair up later; the cache holds the last round's
+    # draw alone, handed to every upload of that round, so the arrays are read-only
     rng = np.random.default_rng([int(sec.shared_seed), int(round_index)])
     signs = (rng.integers(0, 2, size=dim) * 2 - 1).astype(np.float64)
     perm = rng.permutation(dim)

@@ -116,6 +116,16 @@ def test_a_malformed_config_document_fails_naming_what_is_wrong(load, message, t
         load(tmp_path)
 
 
+def test_a_seed_listed_twice_fails_naming_seeds(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="config key 'seeds' must not list a seed twice"):
+        config_from_dict({"seeds": [3, 3]})
+    out = tmp_path / "out"
+    code = main(["run", "--variant", "fedavg", "--config", write_tiny(tmp_path), "--seed", "3", "--seed", "3", "--out-dir", str(out)])
+    assert code == 2
+    assert "config key 'seeds'" in capsys.readouterr().err
+    assert not out.exists()  # refused before any run
+
+
 def test_overrides_beat_the_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"rounds": 5, "epsilon": 0.3}))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from disue.clustering import (
     SimilarityMatrix,
+    _median,
     affinity_propagation,
     build_similarity_matrix,
     singleton_partition,
@@ -210,6 +211,22 @@ def test_a_row_matrix_needs_one_client_id_per_row():
     for ids in ([0, 1], [0, 1, 2, 3]):
         with pytest.raises(InvalidInputError, match=f"3 rows but {len(ids)} client ids"):
             build_similarity_matrix(np.ones((3, 4)), ids)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "all -0.0", "rounded ties", "one nan"])
+def test_the_preference_is_np_median_bit_for_bit(family):
+    """Over off-diagonal counts n(n - 1), in value and in the sign of a zero."""
+    rng = np.random.default_rng(["gaussian", "all -0.0", "rounded ties", "one nan"].index(family))
+    for _ in range(500):
+        n = int(rng.integers(2, 40))
+        values = rng.normal(size=n * (n - 1))
+        if family == "all -0.0":
+            values[:] = -0.0
+        elif family == "rounded ties":
+            values = np.round(values, 1)  # many equal values, zeros of both signs
+        elif family == "one nan":
+            values[rng.integers(values.size)] = np.nan
+        assert np.float64(_median(values.copy())).tobytes() == np.float64(np.median(values)).tobytes()
 
 
 def test_singleton_partition():

@@ -198,6 +198,17 @@ def test_importing_the_simulator_starts_no_pool_machinery():
     assert out.stdout.strip() == "[]"
 
 
+def test_clustered_rounds_leave_numpy_ma_unimported():
+    code = (
+        "import sys; from disue.config import SimConfig; from disue.orchestrator import Simulation; "
+        "Simulation(SimConfig(variant='disue', clients=20, act=0.5, rounds=2), 0).run(); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(disue.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_fedavg_and_skipped_fusion_share_a_trajectory():
     a = Simulation(tiny_cfg(variant="fedavg", rounds=6), seed=3)
     b = Simulation(tiny_cfg(variant="disue_minus_iga", rounds=6), seed=3)
@@ -351,6 +362,23 @@ def test_the_clustering_step_holds_one_masked_copy_of_the_trained_rows():
     one_copy = actives.size * sim.state.global_params.size * 8
     # the masked rows, one upload in flight and the [n, n] buffers; a second [n, P] copy would read above 2
     assert peak <= 1.5 * one_copy, peak / one_copy
+
+
+def test_local_training_holds_one_stack_of_at_most_32_clients_beside_the_trained_rows():
+    cfg = SimConfig(variant="disue_minus_iga", clients=120, act=1.0, local_epochs=1, seeds=[3], dataset=DatasetConfig(samples_per_class=2500))
+    sim = Simulation(cfg, seed=3)
+    actives = sample_active_clients(cfg.clients, cfg.act, 0, 3)
+    sim._train_actives(sim.state, actives)  # lazy set-up is no stack's working set
+    tracemalloc.start()
+    try:
+        sim._train_actives(sim.state, actives)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = sim.state.global_params.size * 8
+    # the widest stack's working set, in 32-client rows: stacks of 32 read 1.43, stacks of 64 read 2.08
+    above = (peak - actives.size * row) / (32 * row)
+    assert above <= 1.75, above
 
 
 def test_label_count_table_matches_brute_recount():

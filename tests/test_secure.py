@@ -115,6 +115,16 @@ def test_one_mask_per_round_gives_the_same_bytes_cold_and_warm():
         assert c.tobytes() == w.tobytes() == _fresh_mask(v, 9, 2).tobytes()
 
 
+def test_the_mask_cache_holds_the_last_round_alone():
+    rng = np.random.default_rng(5)
+    _mask_streams.cache_clear()
+    for rnd in (0, 1):
+        for cid in range(3):
+            ssc_encrypt(rng.normal(size=40), SecParams(9), rnd, cid)
+    assert _mask_streams.cache_info().misses == 2
+    assert _mask_streams.cache_info().currsize == 1
+
+
 def test_the_shared_mask_is_read_only():
     signs, perm = _mask_streams(SecParams(9), 2, 16)
     with pytest.raises(ValueError):
