@@ -19,10 +19,10 @@ import argparse
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import VARIANT_SPECS, VARIANTS, SimConfig, emit_config, parse_config, validate_config
+from .config import VARIANT_SPECS, VARIANTS, DistillConfig, SimConfig, emit_config, parse_config, validate_config
 from .errors import ConfigError, DisueError
 from .metrics import summarize, write_plot_data, write_round_csv, write_summary
 from .orchestrator import ExperimentResult, run_experiment
@@ -31,7 +31,6 @@ from .orchestrator import ExperimentResult, run_experiment
 ABLATION_FAMILY = tuple(v for v, spec in VARIANT_SPECS.items() if not spec.cluster_broadcast)
 
 SWEEP_PARAMS = ("beta_cf", "beta_div", "noise_dim", "pseudo_batch")
-INT_SWEEP_PARAMS = ("noise_dim", "pseudo_batch")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,8 +97,9 @@ def _base_config(args: argparse.Namespace, variant: str | None) -> SimConfig:
 
 
 def _sweep_value(param: str, raw: str) -> float | int:
+    is_int = {f.name: f.type for f in fields(DistillConfig)}[param] == "int"
     try:
-        return int(raw) if param in INT_SWEEP_PARAMS else float(raw)
+        return int(raw) if is_int else float(raw)
     except ValueError:
         raise ConfigError(f"config key 'distill.{param}' cannot take the value {raw!r}") from None
 

@@ -137,10 +137,12 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.variant in VARIANTS, "variant", f"must be one of {', '.join(VARIANTS)}")
     _require(len(cfg.seeds) >= 1, "seeds", "must list at least one seed")
     _require(all(isinstance(s, int) and not isinstance(s, bool) for s in cfg.seeds), "seeds", "must be integers")
+    _require(min(cfg.seeds) >= 0, "seeds", f"must be >= 0, got {cfg.seeds}")
     _require(len(set(cfg.seeds)) == len(cfg.seeds), "seeds", f"must not list a seed twice, got {cfg.seeds}")
     _require(cfg.hidden_dim >= 1, "hidden_dim", "must be >= 1")
     _require(cfg.workers >= 1, "workers", "must be >= 1")
     _require(cfg.failure_policy in ("halt", "skip"), "failure_policy", "must be 'halt' or 'skip'")
+    _require(cfg.secure_seed is None or cfg.secure_seed >= 0, "secure_seed", "must be >= 0")
     ds = cfg.dataset
     _require(ds.num_classes >= 2, "dataset.num_classes", "must be >= 2")
     _require(ds.samples_per_class >= 1, "dataset.samples_per_class", "must be >= 1")

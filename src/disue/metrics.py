@@ -60,21 +60,6 @@ def write_round_csv(path, rows: list[RoundMetrics]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_round_csv(path) -> list[dict[str, float]]:
-    """Rows as dicts keyed by the header names."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise InvalidInputError(f"{path} does not start with the round-metrics header")
-    names = CSV_HEADER.split(",")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise InvalidInputError(f"malformed metrics row: {line!r}")
-        out.append({name: float(cell) for name, cell in zip(names, cells)})
-    return out
-
-
 def final_accuracy(rows: list[RoundMetrics]) -> float:
     """Mean global accuracy over the last SUMMARY_WINDOW rounds (fewer if the run is short)."""
     if not rows:
