@@ -170,6 +170,7 @@ def _generator_objective(
     return nn._node(objective, (samples,), bwd), cd, cf, float(div)
 
 
+@nn.FLOAT_POLICY
 def iga_round(
     teachers: Sequence[Classifier],
     student: Classifier,

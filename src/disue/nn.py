@@ -25,6 +25,14 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, InvalidStateError
 
+# the simulator's entry points run under this one policy: an overflow, invalid
+# value, underflow or division by zero leaves its IEEE result, and the finiteness
+# checks decide divergence, whatever the caller's warnings filter or numpy error
+# state; errstate changes how numpy reports a fault, not the value it computes.
+# Apply it as a decorator, which nests; one instance cannot nest `with` blocks
+FLOAT_POLICY = np.errstate(all="ignore")
+
+
 class Tensor:
     """Array node of a dynamically recorded computation graph."""
 
@@ -129,18 +137,6 @@ def backward(loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        if a.needs_grad():
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.needs_grad():
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _node(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:

@@ -155,6 +155,7 @@ def sample_active_clients(num_clients: int, act: float, round_index: int, master
     return np.sort(rng.choice(num_clients, size=count, replace=False)).astype(np.int64)
 
 
+@nn.FLOAT_POLICY
 def local_train(
     shards: Sequence[Dataset],
     init_params: np.ndarray,
@@ -232,12 +233,10 @@ def local_train(
                     live, order = live[~bad], order[~bad]
                     segments = step_segments(live)
                     model = template.spawn(model.param_vector()[~bad])
-    params = np.empty((len(shards), template.param_count))
-    params[gone] = init_params[gone]  # a diverged client keeps a copy of its row
-    # each parameter into its columns of the survivors' rows: a [C, P] temporary would be a second buffer to fill
-    offsets = np.cumsum([0] + [t.data.size for t in template.parameters()])
-    for p, start, end in zip(model.parameters(), offsets, offsets[1:]):
-        params[live, start:end] = p.data.reshape(live.size, end - start)
+    params = model.param_vector()  # the survivors' rows, fresh and C-contiguous
+    if gone:  # a diverged client keeps a copy of its initial row
+        params, survivors = np.empty((len(shards), params.shape[1])), params
+        params[live], params[gone] = survivors, init_params[gone]
     losses = np.full(len(shards), np.nan)
     # each client's own steps, summed as np.mean of its row alone sums them; -1 cannot size zero rows
     losses[live] = step_losses[live].reshape(live.size, epochs * steps).mean(axis=1)
@@ -355,6 +354,7 @@ class Simulation:
             self.events.append(Event(round_index, "clustering", f"message passing hit the iteration cap at {partition.n_iterations}"))
         return partition
 
+    @nn.FLOAT_POLICY
     def run_round(self) -> RoundMetrics:
         """Play one round and commit its state; a failed round commits nothing.
 
@@ -458,7 +458,6 @@ class Simulation:
 class ExperimentResult:
     """All rounds of one variant across its seeds."""
 
-    variant: str
     rows_by_seed: dict[int, list[RoundMetrics]] = field(default_factory=dict)
     events_by_seed: dict[int, list[Event]] = field(default_factory=dict)
 
@@ -466,7 +465,7 @@ class ExperimentResult:
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
     """Run cfg.rounds rounds for every seed in cfg.seeds."""
     validate_config(cfg)  # before any seed runs: an empty seed list would return no rows
-    result = ExperimentResult(variant=cfg.variant)
+    result = ExperimentResult()
     for seed in cfg.seeds:
         sim = Simulation(cfg, seed)
         result.rows_by_seed[seed] = sim.run()

@@ -10,6 +10,12 @@ from disue.errors import DivergenceError, InvalidInputError, InvalidStateError
 from disue.orchestrator import ClientShard, FederatedData
 
 
+def bits(a) -> tuple:
+    """An array's dtype, shape and bytes: equal exactly when the arrays are equal bit for bit."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
 def numeric_gradient(f, vec: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of a flat vector."""
     grad = np.zeros_like(vec)
@@ -62,6 +68,7 @@ def freeze(module: nn.Module) -> nn.Module:
     return module
 
 
+@nn.FLOAT_POLICY  # the simulator's policy: a diverging client reaches the finiteness check
 def reference_local_train(data: Dataset, init_params, template, epochs, lr, batch_size, weight_decay, rng):
     """One client's local SGD, step by step: the oracle of the stacked `local_train`.
 
@@ -153,6 +160,18 @@ def well_separated_classifier(rng: np.random.Generator, in_dim: int, hidden: tup
 # ---------------------------------------------------------------------------
 # unfused tape primitives: the engine computes these chains as fused nodes,
 # and the fused nodes must match them bit for bit
+
+
+def add(a, b) -> nn.Tensor:
+    a, b = nn.as_tensor(a), nn.as_tensor(b)
+
+    def bwd(g):
+        if a.needs_grad():
+            nn._accumulate(a, nn._unbroadcast(g, a.data.shape))
+        if b.needs_grad():
+            nn._accumulate(b, nn._unbroadcast(g, b.data.shape))
+
+    return nn._node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> nn.Tensor:
@@ -277,8 +296,8 @@ def unfused_trunk(x, layers, tanh_out: bool = False) -> nn.Tensor:
     """A Dense/relu chain with one node per matmul, bias add and activation."""
     h = nn.as_tensor(x)
     for layer in layers[:-1]:
-        h = relu(nn.add(matmul(h, layer.w), layer.b))
-    out = nn.add(matmul(h, layers[-1].w), layers[-1].b)
+        h = relu(add(matmul(h, layer.w), layer.b))
+    out = add(matmul(h, layers[-1].w), layers[-1].b)
     return tanh(out) if tanh_out else out
 
 
@@ -299,7 +318,7 @@ def per_teacher_chain(terms) -> nn.Tensor:
     """Per-teacher totals joined by one add node each, k = 0..K-1."""
     total = terms[0]
     for term in terms[1:]:
-        total = nn.add(total, term)
+        total = add(total, term)
     return total
 
 
@@ -354,7 +373,7 @@ def unfused_generator_objective(stacked, student, batch, gwf, cfg, zdist):
     xdist = broadcast_pairwise_distances(batch.samples)
     div = exp(nn.mul(nn.tsum(nn.mul(xdist, -zdist)), 1.0 / (batch.size * batch.size)))
     signed_cd = cd if cfg.literal_minimax else nn.mul(cd, -1.0)
-    objective = nn.add(nn.add(signed_cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
+    objective = add(add(signed_cd, nn.mul(cf, cfg.beta_cf)), nn.mul(div, cfg.beta_div))
     return objective, cd.item(), cf.item(), div.item()
 
 

@@ -59,5 +59,4 @@ def test_the_tracer_reads_whether_a_local_training_group_diverged():
         return describe(args, local_train(*args))["diverged"]
 
     assert run(poisoned=False) is False
-    with np.errstate(invalid="ignore"):
-        assert run(poisoned=True) is True
+    assert run(poisoned=True) is True

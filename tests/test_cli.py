@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disue
 from disue import cli, orchestrator
 from disue.cli import main
 from disue.config import (
@@ -409,6 +414,21 @@ def test_a_skipped_round_is_reported_on_stderr(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["fedavg seed 0: 1 event (round 1)"]
     assert "event" not in captured.out
+
+
+@pytest.mark.parametrize("warnings_filter", [None, "error"])
+def test_a_diverging_run_writes_only_its_event_line_to_stderr(warnings_filter, tmp_path):
+    """Client 1 overflows and is shed: numpy reports nothing, and the filter changes no outcome."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"batch_size": 1, "local_lr": 1e6, "weight_decay": 10.0, "failure_policy": "skip"}))
+    argv = ["run", "--config", str(config), "--clients", "2", "--act", "0.3", "--rounds", "1", "--seed", "85", "--out-dir", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(disue.__file__).resolve().parent.parent)}
+    env.pop("PYTHONWARNINGS", None)
+    if warnings_filter is not None:
+        env["PYTHONWARNINGS"] = warnings_filter
+    done = subprocess.run([sys.executable, "-m", "disue.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "disue seed 85: 1 event (local_train 1)\n"
 
 
 def test_sweep_labels_each_value(tmp_path):

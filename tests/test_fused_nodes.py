@@ -15,6 +15,8 @@ from disue.config import DistillConfig
 from disue.distill import PseudoBatch, _generator_objective
 from disue.errors import DivergenceError
 from helpers import (
+    add,
+    bits,
     branch,
     broadcast_pairwise_distances,
     freeze,
@@ -28,11 +30,6 @@ from helpers import (
 # teacher counts on both sides of numpy's 8-way unrolled pairwise sum: a sum
 # over the teacher axis would move bits from K = 8 on
 TEACHER_COUNTS = [1, 2, 3, 4, 8, 9]
-
-
-def _bits(a) -> tuple:
-    a = np.asarray(a)
-    return a.dtype, a.shape, a.tobytes()
 
 
 def _weights_like(shape, rng) -> np.ndarray:
@@ -55,7 +52,7 @@ def _twin(model: nn.Classifier) -> nn.Classifier:
 
 
 def _grads(model: nn.Module) -> list:
-    return [None if p.grad is None else _bits(p.grad) for p in model.parameters()]
+    return [None if p.grad is None else bits(p.grad) for p in model.parameters()]
 
 
 def test_classifier_trunk_with_a_constant_input():
@@ -68,7 +65,7 @@ def test_classifier_trunk_with_a_constant_input():
     fused, plain = model.forward(x), unfused_trunk(x, twin.layers)
     nn.backward(_drive(fused, w))
     nn.backward(_drive(plain, w))
-    assert _bits(fused.data) == _bits(plain.data)
+    assert bits(fused.data) == bits(plain.data)
     assert _grads(model) == _grads(twin)
 
 
@@ -82,8 +79,8 @@ def test_classifier_trunk_with_a_live_input_and_frozen_weights():
     fused, plain = model.forward(x), unfused_trunk(x_plain, twin.layers)
     nn.backward(_drive(fused, w))
     nn.backward(_drive(plain, w))
-    assert _bits(fused.data) == _bits(plain.data)
-    assert _bits(x.grad) == _bits(x_plain.grad)
+    assert bits(fused.data) == bits(plain.data)
+    assert bits(x.grad) == bits(x_plain.grad)
     assert all(p.grad is None for p in model.parameters())
 
 
@@ -99,7 +96,7 @@ def test_generator_trunk_with_tanh():
     plain = unfused_trunk(nn.concat(noise, nn.embedding_rows(twin.embed, labels)), twin.layers, tanh_out=True)
     nn.backward(_drive(fused, w))
     nn.backward(_drive(plain, w))
-    assert _bits(fused.data) == _bits(plain.data)
+    assert bits(fused.data) == bits(plain.data)
     assert _grads(gen) == _grads(twin)
 
 
@@ -117,7 +114,7 @@ def test_stacked_teachers_read_by_two_branches(k):
     logits = nn.stack(teachers).forward(x)
     kl = nn.weighted_kl(nn.softmax(logits), student_probs, kl_w)
     ll = nn.log_likelihood(branch(logits), labels, label_w)
-    nn.backward(nn.add(nn.mul(kl, -0.5), nn.mul(ll, -0.25)))
+    nn.backward(add(nn.mul(kl, -0.5), nn.mul(ll, -0.25)))
 
     # the unfused tape runs every teacher twice, once per term
     x_plain = nn.Tensor(data, requires_grad=True)
@@ -125,13 +122,13 @@ def test_stacked_teachers_read_by_two_branches(k):
     plain_logits = [unfused_trunk(x_plain, t.layers) for t in teachers]
     plain_kl = unfused_weighted_kl(plain_probs, student_probs, kl_w)
     plain_ll = unfused_stacked_log_likelihood(plain_logits, labels, label_w)
-    nn.backward(nn.add(nn.mul(plain_kl, -0.5), nn.mul(plain_ll, -0.25)))
+    nn.backward(add(nn.mul(plain_kl, -0.5), nn.mul(plain_ll, -0.25)))
 
     for i in range(k):
-        assert _bits(logits.data[i]) == _bits(plain_logits[i].data)
-    assert _bits(kl.data) == _bits(plain_kl.data)
-    assert _bits(ll.data) == _bits(plain_ll.data)
-    assert _bits(x.grad) == _bits(x_plain.grad)
+        assert bits(logits.data[i]) == bits(plain_logits[i].data)
+    assert bits(kl.data) == bits(plain_kl.data)
+    assert bits(ll.data) == bits(plain_ll.data)
+    assert bits(x.grad) == bits(x_plain.grad)
     assert all(p.grad is None for t in teachers for p in t.parameters())
 
 
@@ -154,7 +151,7 @@ def test_weighted_kl_without_a_teacher_axis(live):
         tq = nn.Tensor(q, requires_grad=live == "q")
         out = weighted_kl(tp, tq, w)
         nn.backward(nn.mul(out, -0.3))
-        return _bits(out.data), _bits((tp if live == "p" else tq).grad)
+        return bits(out.data), bits((tp if live == "p" else tq).grad)
 
     assert run(nn.weighted_kl) == run(lambda tp, tq, w: unfused_weighted_kl([tp], tq, [w]))
 
@@ -177,11 +174,11 @@ def test_stacked_weighted_kl_matches_the_per_teacher_chain(k, live):
     plain = unfused_weighted_kl(p_plain, q_plain, w)
     nn.backward(nn.mul(plain, -0.3))
 
-    assert _bits(fused.data) == _bits(plain.data)
+    assert bits(fused.data) == bits(plain.data)
     if live == "teacher":
-        assert [_bits(g) for g in p_stack.grad] == [_bits(p.grad) for p in p_plain]
+        assert [bits(g) for g in p_stack.grad] == [bits(p.grad) for p in p_plain]
     else:
-        assert _bits(q_live.grad) == _bits(q_plain.grad)
+        assert bits(q_live.grad) == bits(q_plain.grad)
 
 
 @pytest.mark.parametrize("k", TEACHER_COUNTS)
@@ -199,8 +196,8 @@ def test_stacked_log_likelihood_matches_the_per_teacher_chain(k):
     plain = unfused_stacked_log_likelihood(plain_logits, labels, w)
     nn.backward(nn.mul(plain, -0.05))
 
-    assert _bits(fused.data) == _bits(plain.data)
-    assert [_bits(g) for g in logits.grad] == [_bits(z.grad) for z in plain_logits]
+    assert bits(fused.data) == bits(plain.data)
+    assert [bits(g) for g in logits.grad] == [bits(z.grad) for z in plain_logits]
 
 
 def test_cross_entropy():
@@ -212,7 +209,7 @@ def test_cross_entropy():
         logits = nn.Tensor(data, requires_grad=True)
         loss = cross_entropy(logits, labels)
         nn.backward(loss)
-        return _bits(loss.data), _bits(logits.grad)
+        return bits(loss.data), bits(logits.grad)
 
     assert run(nn.cross_entropy) == run(unfused_cross_entropy)
 
@@ -228,8 +225,8 @@ def test_a_second_consumer_of_the_trunk_input():
     def run(trunk):
         base = nn.Tensor(data, requires_grad=True)
         x = nn.mul(base, 1.5)
-        nn.backward(nn.add(_drive(trunk(x), w), _drive(nn.mul(x, x), v)))
-        return _bits(base.grad), _bits(x.grad)
+        nn.backward(add(_drive(trunk(x), w), _drive(nn.mul(x, x), v)))
+        return bits(base.grad), bits(x.grad)
 
     assert run(model.forward) == run(lambda x: unfused_trunk(x, twin.layers))
     assert _grads(model) == _grads(twin)
@@ -258,9 +255,9 @@ def test_a_segmented_trunk_and_loss_match_each_client_alone(widths):
         x_c = nn.Tensor(x.data[rows], requires_grad=True)
         loss_c = nn.cross_entropy(model.forward(x_c), labels[rows])
         nn.backward(loss_c)
-        assert _bits(loss.data[c]) == _bits(loss_c.data)
-        assert [_bits(p.grad[c].reshape(q.grad.shape)) for p, q in zip(stack.parameters(), model.parameters())] == _grads(model)
-        assert _bits(x.grad[rows]) == _bits(x_c.grad)
+        assert bits(loss.data[c]) == bits(loss_c.data)
+        assert [bits(p.grad[c].reshape(q.grad.shape)) for p, q in zip(stack.parameters(), model.parameters())] == _grads(model)
+        assert bits(x.grad[rows]) == bits(x_c.grad)
         start += width
 
 
@@ -286,8 +283,8 @@ def _run_objective(objective_fn, setup, cfg, zdist):
     batch = PseudoBatch(noise, labels, twin.forward(noise, labels))
     objective, *parts = objective_fn(stacked, student, batch, gwf, cfg, zdist)
     nn.backward(objective)
-    values = [_bits(objective.data)] + [_bits(np.float64(v)) for v in parts]
-    return values, _bits(batch.samples.grad), _grads(twin)
+    values = [bits(objective.data)] + [bits(np.float64(v)) for v in parts]
+    return values, bits(batch.samples.grad), _grads(twin)
 
 
 # (teachers, batch size, literal_minimax, beta_cf, beta_div, two equal samples)

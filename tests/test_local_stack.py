@@ -24,7 +24,7 @@ from disue.data import Dataset
 from disue.errors import DivergenceError, InvalidInputError
 from disue.nn import Classifier
 from disue.orchestrator import _TAG_LOCAL, ClientShard, FederatedData, Simulation, local_train, sample_active_clients, stream
-from helpers import reference_local_train
+from helpers import bits, reference_local_train
 
 IN_DIM, CLASSES = 2, 4
 
@@ -58,11 +58,6 @@ def _rows(rng: np.random.Generator, template: Classifier, clients: int) -> np.nd
     return base + 0.1 * rng.normal(size=(clients, base.size))
 
 
-def _bits(a) -> tuple:
-    a = np.asarray(a)
-    return a.dtype, a.shape, a.tobytes()
-
-
 def _check_against_oracle(shards, rows, template, epochs, batch_size, seed, lr=0.1, weight_decay=1e-3):
     """Run the stack and the oracle on the same clients; return the stack's result."""
     rngs = lambda: [np.random.default_rng([seed, c]) for c in range(len(shards))]
@@ -70,8 +65,8 @@ def _check_against_oracle(shards, rows, template, epochs, batch_size, seed, lr=0
     assert params.shape == rows.shape and losses.shape == (len(shards),)
     for c, (shard, rng) in enumerate(zip(shards, rngs())):
         want_params, want_loss, want_diverged = reference_local_train(shard, rows[c], template, epochs, lr, batch_size, weight_decay, rng)
-        assert _bits(params[c]) == _bits(want_params), f"client {c}"
-        assert _bits(losses[c]) == _bits(want_loss), f"client {c}"
+        assert bits(params[c]) == bits(want_params), f"client {c}"
+        assert bits(losses[c]) == bits(want_loss), f"client {c}"
         assert (c in diverged) == want_diverged, f"client {c}"
     return params, losses, diverged
 
@@ -164,11 +159,6 @@ def _poison_gradient(shards, rows, template, victim):
     rows[victim] = model.param_vector()
 
 
-# the poisoned rows overflow on purpose
-ignore_overflow_warnings = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
-@ignore_overflow_warnings
 @pytest.mark.parametrize("poison", [_poison_features, _poison_loss, _poison_gradient])
 @pytest.mark.parametrize("batch_size", [4, 50])
 def test_a_diverged_client_leaves_the_stack(poison, batch_size):
@@ -181,11 +171,10 @@ def test_a_diverged_client_leaves_the_stack(poison, batch_size):
     params, losses, diverged = _check_against_oracle(shards, rows, template, 2, batch_size, seed=5)
     assert diverged == (2,)
     assert np.isnan(losses[2]) and np.all(np.isfinite(np.delete(losses, 2)))
-    assert _bits(params[2]) == _bits(poisoned_row)
+    assert bits(params[2]) == bits(poisoned_row)
     assert not np.shares_memory(params, rows)
 
 
-@ignore_overflow_warnings
 @pytest.mark.parametrize("poison", [_poison_features, _poison_loss, _poison_gradient])
 @pytest.mark.parametrize(
     "sizes, batch_size, victim",
@@ -205,10 +194,9 @@ def test_a_diverged_client_leaves_a_ragged_stack(poison, sizes, batch_size, vict
     params, losses, diverged = _check_against_oracle(shards, rows, template, 2, batch_size, seed=8)
     assert diverged == (victim,)
     assert np.isnan(losses[victim]) and np.all(np.isfinite(np.delete(losses, victim)))
-    assert _bits(params[victim]) == _bits(poisoned_row)
+    assert bits(params[victim]) == bits(poisoned_row)
 
 
-@ignore_overflow_warnings
 def test_a_diverged_client_of_a_broadcast_stack_returns_contiguous_rows():
     """np.array of a broadcast view is F-ordered; the rows handed back must not be."""
     rng = np.random.default_rng(31)
@@ -220,10 +208,10 @@ def test_a_diverged_client_of_a_broadcast_stack_returns_contiguous_rows():
     params, _, diverged = _check_against_oracle(shards, init, template, 2, 8, seed=3)
     assert diverged == (2,)
     assert params.flags.c_contiguous
-    assert _bits(params[2]) == _bits(base[0])
+    assert bits(params[2]) == bits(base[0])
 
 
-@ignore_overflow_warnings
+@nn.FLOAT_POLICY  # the poisoned rows overflow on purpose, as in a round
 def test_the_poisoned_rows_trip_the_check_they_are_named_for():
     template = Classifier(IN_DIM, CLASSES, (16, 16))
     for poison, logits_ok, loss_ok in [(_poison_features, False, False), (_poison_loss, True, False), (_poison_gradient, True, True)]:
@@ -236,7 +224,6 @@ def test_the_poisoned_rows_trip_the_check_they_are_named_for():
             assert np.isfinite(nn.cross_entropy(logits, shards[0].labels).item()) == loss_ok
 
 
-@ignore_overflow_warnings
 def test_every_client_of_a_stack_can_diverge():
     rng = np.random.default_rng(3)
     template = Classifier(IN_DIM, CLASSES, (8, 8))
@@ -247,10 +234,9 @@ def test_every_client_of_a_stack_can_diverge():
     params, losses, diverged = _check_against_oracle(shards, rows, template, 3, 2, seed=1)
     assert diverged == (0, 1, 2)
     assert np.all(np.isnan(losses))
-    assert _bits(params) == _bits(rows)
+    assert bits(params) == bits(rows)
 
 
-@ignore_overflow_warnings
 def test_a_nan_in_a_cluster_feed_row_diverges_that_client_alone():
     """cfl_only trains each client from its own feed row; events come out in client-id order."""
     cfg = SimConfig(
@@ -280,11 +266,11 @@ def test_a_nan_in_a_cluster_feed_row_diverges_that_client_alone():
             sim.data.clients[cid].train, feed[cid], sim.template, cfg.local_epochs, cfg.local_lr,
             cfg.batch_size, cfg.weight_decay, stream(sim.seed, _TAG_LOCAL, 0, cid),
         )
-        assert _bits(params_by_client[cid]) == _bits(want[0]), f"client {cid}"
+        assert bits(params_by_client[cid]) == bits(want[0]), f"client {cid}"
         assert want[2] == (cid in (early, late))
         if not want[2]:
             losses.append(want[1])
-    assert _bits(mean_loss) == _bits(float(np.mean(losses)))
+    assert bits(mean_loss) == bits(float(np.mean(losses)))
     for cid in (early, late):
         assert not np.shares_memory(params_by_client[cid], feed[cid])
 
@@ -324,7 +310,6 @@ def _federations(draw):
     return seed, shards, np.flatnonzero(actives)
 
 
-@ignore_overflow_warnings
 @settings(max_examples=25, deadline=None)
 @given(
     federation=_federations(),
@@ -353,11 +338,11 @@ def test_a_round_of_stacks_trains_every_client_as_it_would_alone(federation, bat
         want_params, want_loss, want_diverged = reference_local_train(
             shards[cid], init, sim.template, epochs, cfg.local_lr, batch_size, cfg.weight_decay, stream(seed, _TAG_LOCAL, 0, cid)
         )
-        assert _bits(params_by_client[cid]) == _bits(want_params), f"client {cid}"
+        assert bits(params_by_client[cid]) == bits(want_params), f"client {cid}"
         if want_diverged:
             diverged.append(cid)
         else:
             losses.append(want_loss)
     assert sorted(params_by_client) == actives.tolist()
     assert [ev.message for ev in sim.events] == [f"client {cid} diverged; kept broadcast parameters" for cid in diverged]
-    assert _bits(mean_loss) == _bits(float(np.mean(losses)) if losses else float("nan"))
+    assert bits(mean_loss) == bits(float(np.mean(losses)) if losses else float("nan"))

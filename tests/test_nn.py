@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from disue import nn
 from disue.errors import DivergenceError, InvalidInputError, InvalidStateError
 from helpers import (
+    add,
     broadcast_pairwise_distances,
     max_rel_error,
     model_gradient,
@@ -246,7 +247,7 @@ def test_disconnected_parameter_gets_zero_gradient():
 def test_repeated_backward_does_not_accumulate():
     w = nn.Tensor(np.array([3.0, -0.5]), requires_grad=True)
     h = tanh(w)  # an interior node with two consumers
-    loss = nn.tsum(nn.add(nn.mul(w, w), nn.mul(h, h)))
+    loss = nn.tsum(add(nn.mul(w, w), nn.mul(h, h)))
     nn.backward(loss)
     first_w, first_h = w.grad.copy(), h.grad.copy()
     nn.backward(loss)
@@ -259,7 +260,7 @@ def test_add_sums_the_gradient_over_a_size_one_axis_keeping_it():
     row = nn.Tensor(rng.standard_normal((1, 3)), requires_grad=True)
     block = nn.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     upstream = rng.standard_normal((4, 3))
-    nn.backward(nn.tsum(nn.mul(nn.add(row, block), upstream)))
+    nn.backward(nn.tsum(nn.mul(add(row, block), upstream)))
     assert row.grad.shape == (1, 3)
     assert np.array_equal(row.grad, upstream.sum(axis=0, keepdims=True))  # the column sums
     assert np.array_equal(block.grad, upstream)
@@ -267,7 +268,7 @@ def test_add_sums_the_gradient_over_a_size_one_axis_keeping_it():
 
 def test_tensor_used_twice_gets_the_summed_gradient():
     x = nn.Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    nn.backward(nn.tsum(nn.add(x, x)))
+    nn.backward(nn.tsum(add(x, x)))
     assert np.array_equal(x.grad, [2.0, 2.0])
     nn.backward(nn.tsum(nn.mul(x, x)))
     assert np.array_equal(x.grad, 2.0 * x.data)
@@ -278,9 +279,9 @@ def test_gradient_arriving_as_a_view_is_not_aliased():
     # concat's hands out views of it; every node must own its gradient
     a = nn.Tensor(np.ones((2, 2)), requires_grad=True)
     b = nn.Tensor(np.ones((2, 3)), requires_grad=True)
-    s = nn.add(a, 0.0)
+    s = add(a, 0.0)
     joined = nn.concat(s, b)
-    out = nn.add(joined, 1.0)
+    out = add(joined, 1.0)
     nn.backward(nn.tsum(nn.mul(out, 3.0)))
     grads = [a.grad, b.grad, s.grad, joined.grad, out.grad]
     for i, left in enumerate(grads):

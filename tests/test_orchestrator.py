@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -337,7 +338,6 @@ def test_generator_reinit_changes_the_path():
 def test_run_experiment_covers_all_seeds():
     cfg = tiny_cfg(variant="fedavg", seeds=[0, 1])
     result = run_experiment(cfg)
-    assert result.variant == "fedavg"
     assert sorted(result.rows_by_seed) == [0, 1]
     assert all(len(rows) == cfg.rounds for rows in result.rows_by_seed.values())
     assert rows_key(result.rows_by_seed[0]) != rows_key(result.rows_by_seed[1])
@@ -554,6 +554,53 @@ def test_a_nan_model_diverges_fusion_in_the_generator_phase():
     assert sims[0].global_params.tobytes() == sims[1].global_params.tobytes() == poisoned.tobytes()
     assert np.array_equal(sims[0].state.generator_params, entry_generator)
     assert row.global_acc == plain_row.global_acc
+
+
+@pytest.mark.parametrize(
+    "cfg, seed, stages",
+    [
+        pytest.param(
+            SimConfig(clients=2, act=0.3, batch_size=1, local_lr=1e6, weight_decay=10.0, rounds=1, failure_policy="skip"),
+            85, ["local_train"], id="client",
+        ),
+        pytest.param(
+            tiny_cfg(
+                variant="disue", act=1.0, rounds=2, local_epochs=1, failure_policy="skip",
+                distill=DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_steps=2, student_steps=1, gen_hidden_dim=16, label_embed_dim=4, gen_lr=1e250, student_lr=1e250),
+            ),
+            0, ["distill", "distill"], id="fusion",
+        ),
+    ],
+)
+def test_a_diverging_run_takes_one_path_under_any_floating_point_state(cfg, seed, stages):
+    """An overflowing client is shed and an overflowing fusion keeps the plain average, whatever the caller's
+    warnings filter or numpy error state, and the run leaves both as it found them."""
+
+    def play(caller_state: str):
+        saved = np.geterr()
+        with warnings.catch_warnings():
+            try:
+                if caller_state == "default":
+                    warnings.simplefilter("default")
+                elif caller_state == "warnings as errors":
+                    warnings.simplefilter("error")
+                elif caller_state == "numpy raises":
+                    np.seterr(all="raise")
+                filters, numpy_state = list(warnings.filters), np.geterr()
+                sim = Simulation(cfg, seed)
+                csv = strip_wall_ms("\n".join([CSV_HEADER] + [row.csv_row() for row in sim.run()]))
+                assert (warnings.filters, np.geterr()) == (filters, numpy_state)
+            finally:
+                np.seterr(**saved)
+        state = sim.state
+        state_bytes = [state.round_index, state.global_params.tobytes(), state.accumulated_counts.tobytes()]
+        state_bytes += [None if state.generator_params is None else state.generator_params.tobytes()]
+        state_bytes += [(cid, vec.tobytes()) for cid, vec in sorted(state.client_feed.items())]
+        return csv, [(ev.round_index, ev.stage, ev.message) for ev in sim.events], state_bytes
+
+    default, *others = [play(caller_state) for caller_state in ("default", "warnings as errors", "numpy raises")]
+    assert others == [default, default]
+    assert [stage for _, stage, _ in default[1]] == stages
 
 
 @settings(max_examples=15, deadline=None)
