@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import VARIANT_SPECS, VARIANTS, DistillConfig, SimConfig, emit_config, parse_config, validate_config
+from .config import VARIANT_SPECS, VARIANTS, DistillConfig, SimConfig, emit_config, parse_config
 from .errors import ConfigError, DisueError
 from .metrics import summarize, write_plot_data, write_round_csv, write_summary
 from .orchestrator import ExperimentResult, run_experiment
@@ -176,9 +176,7 @@ def _report_events(results: dict[str, ExperimentResult]) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        echo, plan = _plan(args)
-        for cfg in plan.values():
-            validate_config(cfg)  # every run is checked before the first one starts
+        echo, plan = _plan(args)  # builds, and so checks, every run before the first one starts
         out = _prepare_out_dir(echo)
         results = {label: run_experiment(cfg) for label, cfg in plan.items()}
         summary = _emit(out, echo, {label: result.rows_by_seed for label, result in results.items()})

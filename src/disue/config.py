@@ -41,7 +41,7 @@ VARIANT_SPECS: dict[str, VariantSpec] = {
 VARIANTS = tuple(VARIANT_SPECS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     """Shape of the synthetic task."""
 
@@ -54,7 +54,7 @@ class DatasetConfig:
     holdout_fraction: float = 0.2  # per-client share held out for cluster metrics
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillConfig:
     """Knobs of the fusion stage.
 
@@ -79,13 +79,14 @@ class DistillConfig:
     literal_minimax: bool = False  # use the flipped sign composition for the generator objective
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Everything one experiment needs besides the seed list it runs over.
 
     Defaults are the reference regime at desk scale: the round count ships
     at 50 (the reference setting of 500 is a flag away), everything else
-    matches the reference values directly.
+    matches the reference values directly. A config is checked when it is
+    built, from JSON, in Python or by `dataclasses.replace`, and is frozen.
     """
 
     rounds: int = 50
@@ -108,24 +109,53 @@ class SimConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)
 
+    def __post_init__(self):
+        validate_config(self)
+
 
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"config key '{key}' {message}")
 
 
-def _require_finite(cfg, prefix: str = "") -> None:
-    """Every float field, nested ones included, is neither NaN nor infinite."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not a count
+
+
+# the values each annotated field type takes; a float field takes an int too
+_ACCEPTS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "DatasetConfig": lambda v: isinstance(v, DatasetConfig),
+    "DistillConfig": lambda v: isinstance(v, DistillConfig),
+}
+# the nested blocks, by their field's type
+_NESTED = {"DatasetConfig": DatasetConfig, "DistillConfig": DistillConfig}
+
+
+def _check_fields(cfg, prefix: str = "") -> None:
+    """Every field, nested ones included, holds its annotated type, and every float is finite.
+
+    Nothing is converted, so the echo keeps the bytes it was given.
+    """
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
+        value, key = getattr(cfg, f.name), prefix + f.name
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue  # an optional field left unset
+        if not _ACCEPTS[kind](value):  # the message is built on failure alone
+            raise ConfigError(f"config key '{key}' must be {f.type}, got {json.dumps(value, default=repr)}")
         if dataclasses.is_dataclass(value):
-            _require_finite(value, f"{f.name}.")
-        elif f.type == "float":
-            _require(math.isfinite(value), f"{prefix}{f.name}", f"must be finite, got {value!r}")
+            _check_fields(value, f"{key}.")
+        elif kind == "float":
+            _require(math.isfinite(value), key, f"must be finite, got {value!r}")
 
 
-def validate_config(cfg: SimConfig) -> SimConfig:
-    _require_finite(cfg)
+def validate_config(cfg: SimConfig) -> None:
+    _check_fields(cfg)
     _require(cfg.rounds >= 1, "rounds", "must be >= 1")
     _require(cfg.clients >= 2, "clients", "must be >= 2")
     _require(0.0 < cfg.act <= 1.0, "act", "must be in (0, 1]")
@@ -136,7 +166,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     _require(cfg.epsilon > 0.0, "epsilon", "must be > 0")
     _require(cfg.variant in VARIANTS, "variant", f"must be one of {', '.join(VARIANTS)}")
     _require(len(cfg.seeds) >= 1, "seeds", "must list at least one seed")
-    _require(all(isinstance(s, int) and not isinstance(s, bool) for s in cfg.seeds), "seeds", "must be integers")
     _require(min(cfg.seeds) >= 0, "seeds", f"must be >= 0, got {cfg.seeds}")
     _require(len(set(cfg.seeds)) == len(cfg.seeds), "seeds", f"must not list a seed twice, got {cfg.seeds}")
     _require(cfg.hidden_dim >= 1, "hidden_dim", "must be >= 1")
@@ -163,54 +192,25 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         _require(getattr(d, key) >= 0, f"distill.{key}", "must be >= 0")
     for key in ("gen_lr", "student_lr"):
         _require(getattr(d, key) > 0, f"distill.{key}", "must be > 0")
-    return cfg
 
 
 def _build(cls, payload: dict, prefix: str = ""):
-    known = {f.name: f for f in fields(cls)}
-    for key in payload:
-        if key not in known:
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = dict(payload)
+    for key, value in payload.items():
+        if key not in types:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
-    nested = {"dataset": DatasetConfig, "distill": DistillConfig}
-    kwargs = {}
-    for name, value in payload.items():
-        if name in nested and cls is SimConfig:
+        if types[key] in _NESTED:
             if not isinstance(value, dict):
-                raise ConfigError(f"config key '{prefix}{name}' must be an object")
-            kwargs[name] = _build(nested[name], value, prefix=f"{name}.")
-        else:
-            kwargs[name] = _coerce(known[name], value, prefix)
+                raise ConfigError(f"config key '{prefix}{key}' must be an object")
+            kwargs[key] = _build(_NESTED[types[key]], value, prefix=f"{key}.")
     return cls(**kwargs)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not a count
-
-
-# the JSON values each annotated field type takes; a float field takes an int too
-_ACCEPTS = {
-    "int": _is_int,
-    "float": lambda v: _is_int(v) or isinstance(v, float),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-}
-
-
-def _coerce(f: dataclasses.Field, value, prefix: str):
-    """Check a value against its field's type; nothing is converted, so the echo keeps its bytes."""
-    kind = f.type.removesuffix(" | None")
-    if value is None and kind != f.type:
-        return value  # an optional field left unset
-    if not _ACCEPTS[kind](value):
-        raise ConfigError(f"config key '{prefix}{f.name}' must be {f.type}, got {json.dumps(value)}")
-    return value
 
 
 def config_from_dict(payload: dict) -> SimConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config document must be a JSON object")
-    return validate_config(_build(SimConfig, payload))
+    return _build(SimConfig, payload)
 
 
 def config_to_dict(cfg: SimConfig) -> dict:

@@ -26,6 +26,10 @@ class Dataset:
     def n(self) -> int:
         return int(self.labels.shape[0])
 
+    @property
+    def feature_dim(self) -> int:
+        return int(self.features.shape[1])
+
     def subset(self, index: np.ndarray) -> "Dataset":
         """The rows at `index`, copied."""
         return Dataset(self.features[index].copy(), self.labels[index].copy(), self.num_classes)

@@ -25,9 +25,13 @@ committed state to the next one without writing into it, and
 failed round commits nothing. Events are an append-only log kept
 outside the state.
 
-Randomness is streamed per purpose: every consumer draws from a generator
-keyed by (master seed, purpose tag, round, client), so results do not
-depend on scheduling or worker count. Local training runs the clients
+Randomness is streamed per purpose: every consumer in this module draws
+from a generator keyed by (master seed, purpose tag, round, client), so
+results do not depend on scheduling or worker count. The masks are not
+keyed so: `secure` seeds them by (masking seed, round), and the masking
+seed defaults to the run seed, so the masks of rounds 0, 1, 2, 4 and 5
+reuse the streams of the dataset, the test split, the partition, the
+model init and the generator init. Local training runs the clients
 that take one number of SGD steps per epoch as one ragged stack (every
 full-batch client, whatever its shard size, steps once per epoch), and
 each slice equals its client trained alone, bit for bit; `workers`
@@ -52,7 +56,7 @@ from .aggregation import (
     uniform_gwf,
 )
 from .clustering import ClusterPartition, affinity_propagation, build_similarity_matrix, singleton_partition
-from .config import VARIANT_SPECS, SimConfig, validate_config
+from .config import VARIANT_SPECS, SimConfig
 from .data import (
     Dataset,
     LabelHistogram,
@@ -87,7 +91,7 @@ _MAX_STACK = 32
 
 
 def stream(master_seed: int, tag: int, *extra: int) -> np.random.Generator:
-    """A deterministic generator for one purpose, independent of all others."""
+    """A deterministic generator for one purpose, distinct from the other purposes' but not from the masks'."""
     return np.random.default_rng([int(master_seed), int(tag), *map(int, extra)])
 
 
@@ -105,10 +109,7 @@ class FederatedData:
     """Immutable per-seed data environment for a simulation."""
 
     clients: list[ClientShard]
-    test_features: np.ndarray
-    test_labels: np.ndarray
-    num_classes: int
-    feature_dim: int
+    test: Dataset  # the held-out split the global model is scored on
 
 
 @dataclass
@@ -137,13 +138,7 @@ def build_federated_data(cfg: SimConfig, seed: int) -> FederatedData:
     for cid, shard in enumerate(shards):
         train, holdout = split_client_holdout(shard, ds.holdout_fraction, seed=[seed, _TAG_HOLDOUT, cid])
         clients.append(ClientShard(cid, train, holdout))
-    return FederatedData(
-        clients=clients,
-        test_features=test_pool.features,
-        test_labels=test_pool.labels,
-        num_classes=ds.num_classes,
-        feature_dim=ds.feature_dim,
-    )
+    return FederatedData(clients, test_pool)
 
 
 def sample_active_clients(num_clients: int, act: float, round_index: int, master_seed: int) -> np.ndarray:
@@ -275,17 +270,16 @@ class Simulation:
     """
 
     def __init__(self, cfg: SimConfig, seed: int, data: FederatedData | None = None):
-        validate_config(cfg)
         self.cfg = cfg
         self.spec = VARIANT_SPECS[cfg.variant]
         self.seed = int(seed)
         self.data = data if data is not None else build_federated_data(cfg, seed)
         if [shard.client_id for shard in self.data.clients] != list(range(cfg.clients)):
             raise InvalidInputError(f"data must hold clients 0..{cfg.clients - 1}, each at the position of its id")
-        num_classes = self.data.num_classes
+        num_classes = self.data.test.num_classes
         self.train_label_counts = np.stack([label_counts(shard.train.labels, num_classes) for shard in self.data.clients])
         # the initial model; every other classifier is spawned from it and loaded
-        self.template = Classifier(self.data.feature_dim, num_classes, (cfg.hidden_dim, cfg.hidden_dim), stream(seed, _TAG_MODEL_INIT))
+        self.template = Classifier(self.data.test.feature_dim, num_classes, (cfg.hidden_dim, cfg.hidden_dim), stream(seed, _TAG_MODEL_INIT))
         init_params = self.template.param_vector()
         persistent = self.spec.fuses and not cfg.distill.reinit_generator
         self.state = SimState(
@@ -309,8 +303,8 @@ class Simulation:
         d = self.cfg.distill
         return Generator(
             noise_dim=d.noise_dim,
-            num_classes=self.data.num_classes,
-            sample_dim=self.data.feature_dim,
+            num_classes=self.data.test.num_classes,
+            sample_dim=self.data.test.feature_dim,
             embed_dim=d.label_embed_dim,
             hidden=(d.gen_hidden_dim, d.gen_hidden_dim),
             rng=rng,
@@ -373,7 +367,7 @@ class Simulation:
             row = RoundMetrics(
                 round_index=state.round_index,
                 cluster_count=1,
-                global_acc=_evaluate(self.template, state.global_params, self.data.test_features, self.data.test_labels),
+                global_acc=_evaluate(self.template, state.global_params, self.data.test.features, self.data.test.labels),
             )
             self.state = replace(state, round_index=state.round_index + 1)
         row.wall_ms = (time.perf_counter() - started) * 1000.0
@@ -406,8 +400,8 @@ class Simulation:
                 counts[actives] += per_client[actives]
                 per_client = counts
             hist = LabelHistogram(np.stack([per_client[members].sum(axis=0) for members in partition.members]))
-            gls = uniform_gls(self.data.num_classes) if spec.uniform_gls else compute_gls(hist)
-            gwf = uniform_gwf(partition.num_clusters, self.data.num_classes) if spec.uniform_gwf else compute_gwf(hist)
+            gls = uniform_gls(self.data.test.num_classes) if spec.uniform_gls else compute_gls(hist)
+            gwf = uniform_gwf(partition.num_clusters, self.data.test.num_classes) if spec.uniform_gwf else compute_gwf(hist)
             dcfg = replace(cfg.distill, **{key: 0.0 for key in spec.zeroed})
             if generator_params is None:  # reinit_generator: a fresh one every fusing round
                 generator = self._fresh_generator(stream(self.seed, _TAG_GEN_INIT, r))
@@ -431,7 +425,7 @@ class Simulation:
             for k, members in enumerate(partition.members):
                 client_feed.update(dict.fromkeys(members, cluster_models[k]))
 
-        global_acc = _evaluate(self.template, new_global, self.data.test_features, self.data.test_labels)
+        global_acc = _evaluate(self.template, new_global, self.data.test.features, self.data.test.labels)
         cluster_accs = []
         for k, members in enumerate(partition.members):
             holdout_x = np.concatenate([clients[cid].holdout.features for cid in members])
@@ -464,7 +458,6 @@ class ExperimentResult:
 
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
     """Run cfg.rounds rounds for every seed in cfg.seeds."""
-    validate_config(cfg)  # before any seed runs: an empty seed list would return no rows
     result = ExperimentResult()
     for seed in cfg.seeds:
         sim = Simulation(cfg, seed)

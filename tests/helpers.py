@@ -130,7 +130,7 @@ def identical_client_data(n_clients: int, per_class: int, num_classes: int = 4) 
         holdout = Dataset(X[:8].copy(), y[:8].copy(), num_classes)
         clients.append(ClientShard(cid, train, holdout))
     order = np.random.default_rng(1).permutation(X.shape[0])
-    return FederatedData(clients=clients, test_features=X[order], test_labels=y[order], num_classes=num_classes, feature_dim=2)
+    return FederatedData(clients, Dataset(X[order], y[order], num_classes))
 
 
 def well_separated_classifier(rng: np.random.Generator, in_dim: int, hidden: tuple, classes: int, batch: int):

@@ -1,6 +1,7 @@
 """Config plumbing, metrics files, and the command line front end."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -171,13 +172,43 @@ WRONG_TYPES = [
     ({"dataset": {"num_classes": 2.5}}, "dataset.num_classes"),
     ({"distill": {"noise_dim": "8"}}, "distill.noise_dim"),
     ({"distill": {"reinit_generator": "yes"}}, "distill.reinit_generator"),
+    ({"rounds": 2.5}, "rounds"),
+    ({"hidden_dim": 16.0}, "hidden_dim"),
+    ({"local_epochs": True}, "local_epochs"),
+    ({"distill": {"inner_iters": 1.5}}, "distill.inner_iters"),
 ]
+
+
+def _python_kwargs(payload: dict) -> dict:
+    """A config payload as keyword arguments, its nested dicts built into their dataclasses."""
+    nested = {"dataset": DatasetConfig, "distill": DistillConfig}
+    return {key: nested[key](**value) if key in nested else value for key, value in payload.items()}
 
 
 @pytest.mark.parametrize("payload, key", WRONG_TYPES)
 def test_a_wrong_type_fails_at_parse_time_naming_its_key(payload, key):
     with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
         config_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload, key", WRONG_TYPES)
+def test_a_wrong_type_fails_at_construction_naming_its_key(payload, key):
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        SimConfig(**_python_kwargs(payload))
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+        dataclasses.replace(SimConfig(), **_python_kwargs(payload))
+
+
+def test_a_numpy_scalar_fails_at_construction_naming_its_key():
+    with pytest.raises(ConfigError, match="config key 'rounds' must be int"):
+        SimConfig(rounds=np.int64(5))
+
+
+def test_a_config_and_its_nested_parts_are_frozen():
+    cfg = SimConfig()
+    for part, name in ((cfg, "rounds"), (cfg.dataset, "num_classes"), (cfg.distill, "inner_iters")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, 3)
 
 
 @pytest.mark.parametrize("payload, key", WRONG_TYPES)

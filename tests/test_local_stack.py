@@ -322,7 +322,7 @@ def test_a_round_of_stacks_trains_every_client_as_it_would_alone(federation, bat
     """Stacks split at 2 or 3 clients; each active client's row equals the oracle's, and events come in client-id order."""
     seed, shards, actives = federation
     holdout = _shards(np.random.default_rng(seed), [2])[0]
-    data = FederatedData([ClientShard(cid, shard, holdout) for cid, shard in enumerate(shards)], holdout.features, holdout.labels, CLASSES, IN_DIM)
+    data = FederatedData([ClientShard(cid, shard, holdout) for cid, shard in enumerate(shards)], holdout)
     cfg = SimConfig(variant=variant, rounds=1, clients=len(shards), local_epochs=epochs, batch_size=batch_size, hidden_dim=8)
     sim = Simulation(cfg, seed, data=data)
     state = sim.state

@@ -77,7 +77,7 @@ def test_build_federated_data_covers_every_sample():
     data = build_federated_data(cfg, seed=0)
     assert len(data.clients) == cfg.clients
     total = cfg.dataset.num_classes * cfg.dataset.samples_per_class
-    held = data.test_labels.shape[0]
+    held = data.test.n
     shard_total = sum(c.train.n + c.holdout.n for c in data.clients)
     assert held + shard_total == total
     assert all(c.train.n >= 1 for c in data.clients)
@@ -162,7 +162,7 @@ def _data_with_an_empty_shard(cfg: SimConfig, seed: int) -> FederatedData:
     first = set(sample_active_clients(cfg.clients, cfg.act, 0, seed).tolist())
     second = set(sample_active_clients(cfg.clients, cfg.act, 1, seed).tolist())
     cid = min(first - second)
-    empty = Dataset(np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64), data.num_classes)
+    empty = Dataset(np.zeros((0, data.test.feature_dim)), np.zeros(0, dtype=np.int64), data.test.num_classes)
     data.clients[cid] = dataclasses.replace(data.clients[cid], train=empty)
     return data
 
@@ -384,11 +384,11 @@ def test_local_training_holds_one_stack_of_at_most_32_clients_beside_the_trained
 def test_label_count_table_matches_brute_recount():
     sim = Simulation(tiny_cfg(), seed=2)
     table = sim.train_label_counts
-    assert table.shape == (sim.cfg.clients, sim.data.num_classes)
+    assert table.shape == (sim.cfg.clients, sim.data.test.num_classes)
     for shard in sim.data.clients:
-        assert np.array_equal(table[shard.client_id], np.bincount(shard.train.labels, minlength=sim.data.num_classes))
+        assert np.array_equal(table[shard.client_id], np.bincount(shard.train.labels, minlength=sim.data.test.num_classes))
     every_train_label = np.concatenate([shard.train.labels for shard in sim.data.clients])
-    assert np.array_equal(table.sum(axis=0), np.bincount(every_train_label, minlength=sim.data.num_classes))
+    assert np.array_equal(table.sum(axis=0), np.bincount(every_train_label, minlength=sim.data.test.num_classes))
     assert table.sum() == every_train_label.size
 
 
