@@ -31,6 +31,7 @@ from .orchestrator import ExperimentResult, run_experiment
 ABLATION_FAMILY = tuple(v for v, spec in VARIANT_SPECS.items() if not spec.cluster_broadcast)
 
 SWEEP_PARAMS = ("beta_cf", "beta_div", "noise_dim", "pseudo_batch")
+_CONFIG_KEYS = {f.name for f in fields(SimConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,15 +43,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """Every flag but --config sets the SimConfig key named by its dest; left out, it is None and keeps the file's value."""
     p.add_argument("--config", help="JSON config file; empty file means all defaults")
-    p.add_argument("--seed", type=int, action="append", help="seed to run; repeat the flag for several")
+    p.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append", help="seed to run; repeat the flag for several")
     p.add_argument("--rounds", type=int, help="rounds per seed")
     p.add_argument("--clients", type=int, help="total number of clients")
     p.add_argument("--act", type=float, help="fraction of clients active per round")
     p.add_argument("--epsilon", type=float, help="Dirichlet concentration of the label skew")
     p.add_argument("--workers", type=int, help="accepted for compatibility; results are bitwise identical at any count")
     p.add_argument("--out-dir", help="output directory (default disue_out)")
-    p.add_argument("--plot-data", action="store_true", help="also write long-format plot_data.csv")
+    p.add_argument("--plot-data", dest="emit_plot_data", action="store_const", const=True, help="also write long-format plot_data.csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,22 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_config(args: argparse.Namespace, variant: str | None) -> SimConfig:
-    """The config file with the flags applied; a None variant keeps the file's."""
-    overrides = {
-        "rounds": args.rounds,
-        "clients": args.clients,
-        "act": args.act,
-        "epsilon": args.epsilon,
-        "workers": args.workers,
-        "out_dir": args.out_dir,
-        "variant": variant,
-    }
-    if args.seed:
-        overrides["seeds"] = args.seed
-    if args.plot_data:
-        overrides["emit_plot_data"] = True
-    cfg = parse_config(args.config, overrides)
+def _base_config(args: argparse.Namespace, **overrides) -> SimConfig:
+    """The config file with the flags and then `overrides` applied."""
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
+    cfg = parse_config(args.config, flags | overrides)
     if cfg.out_dir is None:
         cfg = replace(cfg, out_dir="disue_out")
     return cfg
@@ -110,10 +100,10 @@ def _plan(args: argparse.Namespace) -> tuple[SimConfig, dict[str, SimConfig]]:
     The echo is the base config with the first run's variant.
     """
     if args.command == "run":
-        base = _base_config(args, args.variant)
+        base = _base_config(args)
         return base, {base.variant: base}
     if args.command == "sweep":
-        base = _base_config(args, "disue")
+        base = _base_config(args, variant="disue")
         plan = {}
         for raw in args.values.split(","):
             raw = raw.strip()
@@ -122,7 +112,7 @@ def _plan(args: argparse.Namespace) -> tuple[SimConfig, dict[str, SimConfig]]:
         return base, plan
     # dict.fromkeys keeps order while dropping accidental repeats
     variants = list(dict.fromkeys(args.variants)) if args.command == "compare" else list(ABLATION_FAMILY)
-    base = _base_config(args, variants[0])
+    base = _base_config(args, variant=variants[0])
     return base, {variant: replace(base, variant=variant) for variant in variants}
 
 

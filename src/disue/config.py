@@ -98,7 +98,7 @@ class SimConfig:
     weight_decay: float = 1e-3
     epsilon: float = 0.05  # Dirichlet concentration of the label skew
     variant: str = "disue"
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: tuple[int, ...] = (0,)  # a list is accepted, and stored as a tuple
     hidden_dim: int = 64
     workers: int = 1
     failure_policy: str = "halt"  # halt | skip
@@ -111,6 +111,7 @@ class SimConfig:
 
     def __post_init__(self):
         validate_config(self)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -128,10 +129,11 @@ _ACCEPTS = {
     "float": lambda v: _is_int(v) or isinstance(v, float),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
     "DatasetConfig": lambda v: isinstance(v, DatasetConfig),
     "DistillConfig": lambda v: isinstance(v, DistillConfig),
 }
+_SHOWN = {"tuple[int, ...]": "a list of ints"}  # a type as its error names it, in JSON's terms
 # the nested blocks, by their field's type
 _NESTED = {"DatasetConfig": DatasetConfig, "DistillConfig": DistillConfig}
 
@@ -147,7 +149,7 @@ def _check_fields(cfg, prefix: str = "") -> None:
         if value is None and kind != f.type:
             continue  # an optional field left unset
         if not _ACCEPTS[kind](value):  # the message is built on failure alone
-            raise ConfigError(f"config key '{key}' must be {f.type}, got {json.dumps(value, default=repr)}")
+            raise ConfigError(f"config key '{key}' must be {_SHOWN.get(f.type, f.type)}, got {json.dumps(value, default=repr)}")
         if dataclasses.is_dataclass(value):
             _check_fields(value, f"{key}.")
         elif kind == "float":

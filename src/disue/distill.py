@@ -110,9 +110,16 @@ def loss_cf(teacher_logits: Tensor, batch: PseudoBatch, gwf: GwfWeights) -> Tens
 
     `teacher_logits` is the stacked teachers' forward on batch.samples,
     [K, Q, classes] and live through the samples, so gradients reach the
-    generator while teacher parameters stay frozen.
+    generator while teacher parameters stay frozen. The total is one node
+    on nn's label kernels, which the generator step's objective shares.
     """
-    return nn.mul(nn.log_likelihood(teacher_logits, batch.labels, gwf.alpha[:, batch.labels]), -1.0 / batch.size)
+    logits = nn.as_tensor(teacher_logits)
+    log_probs, index = nn._label_log_probs(logits, batch.labels, stacked=True)
+    weights = gwf.alpha[:, batch.labels]
+    if weights.shape != log_probs.shape[:-1]:
+        raise InvalidInputError(f"loss_cf expects gwf weights of shape {log_probs.shape[:-1]}, got {weights.shape}")
+    value, ll_bwd = nn.label_terms(log_probs, index, weights)
+    return nn.mul(nn._node(value, (logits,), lambda g: nn._accumulate(logits, ll_bwd(g), owned=True)), -1.0 / batch.size)
 
 
 def _diversity(x: np.ndarray, zdist: np.ndarray):

@@ -7,14 +7,14 @@ reproduce identical parameters bit for bit.
 
 The hot chains are single fused nodes: a network trunk (`mlp`), the
 weighted KL of K teachers and the label log-likelihood (`weighted_kl`,
-`cross_entropy`, `log_likelihood`). Their array kernels (`SoftmaxRows`,
-`kl_terms`, `label_terms`, `distances`, `distances_grad`) serve distill's
-generator node and diversity term too. Each backward replays the numpy
-ops of the one-op-per-node chain it replaces, per teacher and in its
-order, so values and gradients match it bit for bit; tests/helpers.py
-keeps the chain as the oracle. A fresh gradient gets +0.0 as
-`_accumulate` gives it, turning -0.0 into 0.0, so a stored one holds no
--0.0 and the chain's copies of it are skipped.
+`cross_entropy`). Their array kernels (`SoftmaxRows`, `kl_terms`,
+`label_terms`, `distances`, `distances_grad`) serve distill's nodes too:
+the generator objective, the cf loss and the diversity term. Each
+backward replays the numpy ops of the one-op-per-node chain it replaces,
+per teacher and in its order, so values and gradients match it bit for
+bit; tests/helpers.py keeps the chain as the oracle. A fresh gradient
+gets +0.0 as `_accumulate` gives it, turning -0.0 into 0.0, so a stored
+one holds no -0.0 and the chain's copies of it are skipped.
 """
 from __future__ import annotations
 
@@ -509,21 +509,6 @@ def cross_entropy(logits, labels, segments: Segments | None = None) -> Tensor:
         _accumulate(logits, label_grad(log_probs, index, g), owned=True)
 
     return _node(total * scale, (logits,), bwd)
-
-
-def log_likelihood(logits, labels, weights: np.ndarray) -> Tensor:
-    """sum_k sum_i weights[k, i] * log softmax(logits[k])[i, labels[i]], one node.
-
-    logits are [K, batch, classes] and weights [K, batch]; the K
-    per-teacher totals are added in order k = 0..K-1.
-    """
-    logits = as_tensor(logits)
-    log_probs, index = _label_log_probs(logits, labels, stacked=True)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != log_probs.shape[:-1]:
-        raise InvalidInputError(f"log_likelihood expects weights of shape {log_probs.shape[:-1]}, got {weights.shape}")
-    value, terms_bwd = label_terms(log_probs, index, weights)
-    return _node(value, (logits,), lambda g: _accumulate(logits, terms_bwd(g), owned=True))
 
 
 # ---------------------------------------------------------------------------

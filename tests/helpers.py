@@ -6,6 +6,7 @@ import numpy as np
 from disue import nn
 from disue.clustering import DAMPING, MAX_SWEEPS, STABLE_SWEEPS, ClusterPartition, SimilarityMatrix
 from disue.data import Dataset
+from disue.distill import PseudoBatch, loss_cf
 from disue.errors import DivergenceError, InvalidInputError, InvalidStateError
 from disue.orchestrator import ClientShard, FederatedData
 
@@ -332,6 +333,12 @@ def unfused_stacked_log_likelihood(logits, labels, weights) -> nn.Tensor:
     return per_teacher_chain([unfused_log_likelihood(z, labels, w) for z, w in zip(logits, weights)])
 
 
+def label_batch(labels) -> PseudoBatch:
+    """A pseudo-batch for loss_cf, which reads only its labels and size."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return PseudoBatch(np.zeros((labels.size, 1)), labels, nn.Tensor(np.zeros((labels.size, 1))))
+
+
 def branch(t: nn.Tensor) -> nn.Tensor:
     """A second node with t's value and backward, for a second consumer of t.
 
@@ -369,7 +376,7 @@ def unfused_generator_objective(stacked, student, batch, gwf, cfg, zdist):
     student_probs = nn.softmax(student.forward(batch.samples.data)).data
     logits = stacked.forward(batch.samples)
     cd = nn.mul(nn.weighted_kl(nn.softmax(logits), student_probs, weights), 1.0 / batch.size)
-    cf = nn.mul(nn.log_likelihood(branch(logits), batch.labels, weights), -1.0 / batch.size)
+    cf = loss_cf(branch(logits), batch, gwf)
     xdist = broadcast_pairwise_distances(batch.samples)
     div = exp(nn.mul(nn.tsum(nn.mul(xdist, -zdist)), 1.0 / (batch.size * batch.size)))
     signed_cd = cd if cfg.literal_minimax else nn.mul(cd, -1.0)

@@ -1,6 +1,7 @@
 """Config plumbing, metrics files, and the command line front end."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -209,6 +210,13 @@ def test_a_config_and_its_nested_parts_are_frozen():
     for part, name in ((cfg, "rounds"), (cfg.dataset, "num_classes"), (cfg.distill, "inner_iters")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(part, name, 3)
+
+
+def test_a_checked_config_cannot_gain_a_seed():
+    cfg = SimConfig(seeds=[3, 4])  # a list is taken, and kept as a tuple
+    with pytest.raises(AttributeError):
+        cfg.seeds.append(-1)
+    assert cfg.seeds == (3, 4)
 
 
 @pytest.mark.parametrize("payload, key", WRONG_TYPES)
@@ -513,6 +521,36 @@ def test_run_variant_flag_beats_the_config_file(tmp_path):
     assert main(["run", "--variant", "cfl_only", "--config", write_tiny(tmp_path, {"variant": "fedavg"}), "--out-dir", str(out)]) == 0
     assert (out / "cfl_only_seed0.csv").exists()
     assert json.loads((out / "config.json").read_text())["variant"] == "cfl_only"
+
+
+# the dests that set no config key: argparse's own, the file, and the arguments that pick the runs
+NON_CONFIG_DESTS = {"help", "config", "command", "variants", "param", "values"}
+COMMANDS = [["run"], ["compare", "fedavg"], ["ablate"], ["sweep", "--param", "beta_cf", "--values", "0.5"]]
+
+
+def test_every_flag_dest_is_a_config_key():
+    keys = {f.name for f in dataclasses.fields(SimConfig)}
+    parser = cli._build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    for name, sub in [("disue", parser), *commands.choices.items()]:
+        for action in sub._actions:
+            assert action.dest in keys | NON_CONFIG_DESTS, (name, action.option_strings, action.dest)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+def test_repeated_seeds_and_plot_data_reach_the_config(command, tmp_path):
+    args = cli._build_parser().parse_args([*command, "--config", write_tiny(tmp_path), "--seed", "3", "--seed", "4", "--plot-data"])
+    echo, plan = cli._plan(args)
+    for cfg in [echo, *plan.values()]:
+        assert cfg.seeds == (3, 4) and cfg.emit_plot_data is True
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+def test_plot_data_in_the_config_file_survives_without_the_flag(command, tmp_path):
+    args = cli._build_parser().parse_args([*command, "--config", write_tiny(tmp_path, {"emit_plot_data": True, "seeds": [5]})])
+    echo, plan = cli._plan(args)
+    for cfg in [echo, *plan.values()]:
+        assert cfg.emit_plot_data is True and cfg.seeds == (5,)
 
 
 @pytest.mark.parametrize("param, values", [("noise_dim", "8,x"), ("beta_cf", "0.5,-1")])

@@ -12,7 +12,7 @@ import pytest
 from disue import nn
 from disue.aggregation import GwfWeights
 from disue.config import DistillConfig
-from disue.distill import PseudoBatch, _generator_objective
+from disue.distill import PseudoBatch, _generator_objective, loss_cf
 from disue.errors import DivergenceError
 from helpers import (
     add,
@@ -20,6 +20,7 @@ from helpers import (
     branch,
     broadcast_pairwise_distances,
     freeze,
+    label_batch,
     unfused_cross_entropy,
     unfused_generator_objective,
     unfused_stacked_log_likelihood,
@@ -102,32 +103,32 @@ def test_generator_trunk_with_tanh():
 
 @pytest.mark.parametrize("k", TEACHER_COUNTS)
 def test_stacked_teachers_read_by_two_branches(k):
-    """The generator step's shape: one stacked forward, read by a weighted KL and by a log-likelihood branch."""
+    """The generator step's shape: one stacked forward, read by a weighted KL and by loss_cf's log-likelihood branch."""
     rng = np.random.default_rng(10 + k)
     teachers = [freeze(_classifier(20 + i)) for i in range(k)]
     data = rng.standard_normal((9, 3))
     labels = rng.integers(0, 4, size=9)
     student_probs = _probability_rows(rng, (9, 4))
-    kl_w, label_w = _weights_like((k, 9), rng), _weights_like((k, 9), rng)
+    kl_w, gwf = _weights_like((k, 9), rng), GwfWeights(alpha=_weights_like((k, 4), rng))
 
     x = nn.Tensor(data, requires_grad=True)
     logits = nn.stack(teachers).forward(x)
     kl = nn.weighted_kl(nn.softmax(logits), student_probs, kl_w)
-    ll = nn.log_likelihood(branch(logits), labels, label_w)
-    nn.backward(add(nn.mul(kl, -0.5), nn.mul(ll, -0.25)))
+    cf = loss_cf(branch(logits), label_batch(labels), gwf)
+    nn.backward(add(nn.mul(kl, -0.5), nn.mul(cf, -0.25)))
 
     # the unfused tape runs every teacher twice, once per term
     x_plain = nn.Tensor(data, requires_grad=True)
     plain_probs = [nn.softmax(unfused_trunk(x_plain, t.layers)) for t in teachers]
     plain_logits = [unfused_trunk(x_plain, t.layers) for t in teachers]
     plain_kl = unfused_weighted_kl(plain_probs, student_probs, kl_w)
-    plain_ll = unfused_stacked_log_likelihood(plain_logits, labels, label_w)
-    nn.backward(add(nn.mul(plain_kl, -0.5), nn.mul(plain_ll, -0.25)))
+    plain_cf = nn.mul(unfused_stacked_log_likelihood(plain_logits, labels, gwf.alpha[:, labels]), -1.0 / 9)
+    nn.backward(add(nn.mul(plain_kl, -0.5), nn.mul(plain_cf, -0.25)))
 
     for i in range(k):
         assert bits(logits.data[i]) == bits(plain_logits[i].data)
     assert bits(kl.data) == bits(plain_kl.data)
-    assert bits(ll.data) == bits(plain_ll.data)
+    assert bits(cf.data) == bits(plain_cf.data)
     assert bits(x.grad) == bits(x_plain.grad)
     assert all(p.grad is None for t in teachers for p in t.parameters())
 
@@ -183,18 +184,19 @@ def test_stacked_weighted_kl_matches_the_per_teacher_chain(k, live):
 
 @pytest.mark.parametrize("k", TEACHER_COUNTS)
 def test_stacked_log_likelihood_matches_the_per_teacher_chain(k):
+    """loss_cf: the K teachers' weighted label log-likelihoods, added in order, times -1/Q."""
     rng = np.random.default_rng(40 + k)
     data = rng.standard_normal((k, 20, 5)) * 3.0
     labels = rng.integers(0, 5, size=20)
-    w = _weights_like((k, 20), rng)
+    gwf = GwfWeights(alpha=_weights_like((k, 5), rng))
 
     logits = nn.Tensor(data, requires_grad=True)
-    fused = nn.log_likelihood(logits, labels, w)
-    nn.backward(nn.mul(fused, -0.05))
+    fused = loss_cf(logits, label_batch(labels), gwf)
+    nn.backward(fused)
 
     plain_logits = [nn.Tensor(z, requires_grad=True) for z in data]
-    plain = unfused_stacked_log_likelihood(plain_logits, labels, w)
-    nn.backward(nn.mul(plain, -0.05))
+    plain = nn.mul(unfused_stacked_log_likelihood(plain_logits, labels, gwf.alpha[:, labels]), -1.0 / 20)
+    nn.backward(plain)
 
     assert bits(fused.data) == bits(plain.data)
     assert [bits(g) for g in logits.grad] == [bits(z.grad) for z in plain_logits]

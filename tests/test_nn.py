@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disue import nn
+from disue.aggregation import GwfWeights
+from disue.distill import loss_cf
 from disue.errors import DivergenceError, InvalidInputError, InvalidStateError
 from helpers import (
     add,
     broadcast_pairwise_distances,
+    label_batch,
     max_rel_error,
     model_gradient,
     numeric_gradient,
@@ -210,7 +213,7 @@ def test_backward_needs_scalar_loss():
         (lambda: nn.embedding_rows(np.zeros((3, 2)), [0, 3]), "embedding index out of range"),
         (lambda: nn.kl_divergence(np.full(3, 1 / 3), np.full(2, 0.5)), "kl_divergence shape mismatch"),
         (lambda: nn.cross_entropy(np.zeros((2, 2, 3)), [0, 1]), r"expected \[batch, classes\] logits"),
-        (lambda: nn.log_likelihood(np.zeros((2, 3)), [0, 1], np.ones((1, 2))), r"expected \[K, batch, classes\] logits"),
+        (lambda: loss_cf(np.zeros((2, 3)), label_batch([0, 1]), GwfWeights(np.ones((1, 3)))), r"expected \[K, batch, classes\] logits"),
         (lambda: nn.cross_entropy(np.zeros((2, 3)), [[0], [1]]), "one label per row"),
         (lambda: nn.Classifier(0, 3), "classifier needs in_dim >= 1"),
         (lambda: nn.Classifier(2, 1), "and num_classes >= 2"),
