@@ -41,17 +41,33 @@ VARIANT_SPECS: dict[str, VariantSpec] = {
 VARIANTS = tuple(VARIANT_SPECS)
 
 
+# a numeric field declares its range in its metadata: a test, and the words its error ends with
+def _at_least(low) -> dict:
+    return {"range": (lambda v: v >= low, f">= {low}")}
+
+
+def _above(low) -> dict:
+    return {"range": (lambda v: v > low, f"> {low}")}
+
+
+_SHARE = {"range": (lambda v: 0 < v <= 1, "in (0, 1]")}
+_FRACTION = {"range": (lambda v: 0 <= v < 1, "in [0, 1)")}
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """Shape of the synthetic task."""
 
-    num_classes: int = 4
-    samples_per_class: int = 250
-    feature_dim: int = 2
-    class_std: float = 0.5
-    radius: float = 1.0
-    test_fraction: float = 0.2  # stratified IID split held out for the global metric
-    holdout_fraction: float = 0.2  # per-client share held out for cluster metrics
+    num_classes: int = field(default=4, metadata=_at_least(2))
+    samples_per_class: int = field(default=250, metadata=_at_least(1))
+    feature_dim: int = field(default=2, metadata=_at_least(2))
+    class_std: float = field(default=0.5, metadata=_above(0))
+    radius: float = field(default=1.0, metadata=_above(0))
+    test_fraction: float = field(default=0.2, metadata=_FRACTION)  # stratified IID split held out for the global metric
+    holdout_fraction: float = field(default=0.2, metadata=_FRACTION)  # per-client share held out for cluster metrics
+
+    def __post_init__(self):
+        _check_fields(self, "dataset.")
 
 
 @dataclass(frozen=True)
@@ -64,19 +80,22 @@ class DistillConfig:
     teacher's opinion in regions that teacher never saw.
     """
 
-    beta_cf: float = 1.0  # weight of the class-fidelity term
-    beta_div: float = 1.0  # weight of the diversity term
-    noise_dim: int = 100
-    pseudo_batch: int = 50  # Q, samples synthesized per inner iteration
-    inner_iters: int = 10  # alternations per round
-    gen_steps: int = 5  # generator updates per alternation
-    student_steps: int = 2  # student updates per alternation
-    gen_lr: float = 0.05
-    student_lr: float = 0.05
-    label_embed_dim: int = 8
-    gen_hidden_dim: int = 64
+    beta_cf: float = field(default=1.0, metadata=_at_least(0))  # weight of the class-fidelity term
+    beta_div: float = field(default=1.0, metadata=_at_least(0))  # weight of the diversity term
+    noise_dim: int = field(default=100, metadata=_at_least(1))
+    pseudo_batch: int = field(default=50, metadata=_at_least(1))  # Q, samples synthesized per inner iteration
+    inner_iters: int = field(default=10, metadata=_at_least(1))  # alternations per round
+    gen_steps: int = field(default=5, metadata=_at_least(1))  # generator updates per alternation
+    student_steps: int = field(default=2, metadata=_at_least(1))  # student updates per alternation
+    gen_lr: float = field(default=0.05, metadata=_above(0))
+    student_lr: float = field(default=0.05, metadata=_above(0))
+    label_embed_dim: int = field(default=8, metadata=_at_least(1))
+    gen_hidden_dim: int = field(default=64, metadata=_at_least(1))
     reinit_generator: bool = False  # fresh generator every round instead of a persistent one
     literal_minimax: bool = False  # use the flipped sign composition for the generator objective
+
+    def __post_init__(self):
+        _check_fields(self, "distill.")
 
 
 @dataclass(frozen=True)
@@ -89,20 +108,20 @@ class SimConfig:
     built, from JSON, in Python or by `dataclasses.replace`, and is frozen.
     """
 
-    rounds: int = 50
-    clients: int = 100
-    act: float = 0.15  # fraction of clients sampled per round
-    local_epochs: int = 5
-    batch_size: int = 50
-    local_lr: float = 0.1
-    weight_decay: float = 1e-3
-    epsilon: float = 0.05  # Dirichlet concentration of the label skew
+    rounds: int = field(default=50, metadata=_at_least(1))
+    clients: int = field(default=100, metadata=_at_least(2))
+    act: float = field(default=0.15, metadata=_SHARE)  # fraction of clients sampled per round
+    local_epochs: int = field(default=5, metadata=_at_least(1))
+    batch_size: int = field(default=50, metadata=_at_least(1))
+    local_lr: float = field(default=0.1, metadata=_at_least(0))
+    weight_decay: float = field(default=1e-3, metadata=_at_least(0))
+    epsilon: float = field(default=0.05, metadata=_above(0))  # Dirichlet concentration of the label skew
     variant: str = "disue"
     seeds: tuple[int, ...] = (0,)  # a list is accepted, and stored as a tuple
-    hidden_dim: int = 64
-    workers: int = 1
+    hidden_dim: int = field(default=64, metadata=_at_least(1))
+    workers: int = field(default=1, metadata=_at_least(1))
     failure_policy: str = "halt"  # halt | skip
-    secure_seed: int | None = None  # None derives the masking seed from the run seed
+    secure_seed: int | None = field(default=None, metadata=_at_least(0))  # None derives the masking seed from the run seed
     accumulate_histograms: bool = False
     emit_plot_data: bool = False
     out_dir: str | None = None
@@ -139,61 +158,39 @@ _NESTED = {"DatasetConfig": DatasetConfig, "DistillConfig": DistillConfig}
 
 
 def _check_fields(cfg, prefix: str = "") -> None:
-    """Every field, nested ones included, holds its annotated type, and every float is finite.
+    """Each field holds its annotated type, is finite if a float, and lies in its declared range.
 
+    A nested block checked itself, under its prefix, when it was built.
     Nothing is converted, so the echo keeps the bytes it was given.
     """
     for f in fields(cfg):
-        value, key = getattr(cfg, f.name), prefix + f.name
+        value = getattr(cfg, f.name)
         kind = f.type.removesuffix(" | None")
         if value is None and kind != f.type:
             continue  # an optional field left unset
-        if not _ACCEPTS[kind](value):  # the message is built on failure alone
-            raise ConfigError(f"config key '{key}' must be {_SHOWN.get(f.type, f.type)}, got {json.dumps(value, default=repr)}")
-        if dataclasses.is_dataclass(value):
-            _check_fields(value, f"{key}.")
-        elif kind == "float":
-            _require(math.isfinite(value), key, f"must be finite, got {value!r}")
+        if not _ACCEPTS[kind](value):
+            raise ConfigError(f"config key '{prefix}{f.name}' must be {_SHOWN.get(f.type, f.type)}, got {json.dumps(value, default=repr)}")
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigError(f"config key '{prefix}{f.name}' must be finite, got {value!r}")
+        test, words = f.metadata.get("range", (None, ""))
+        if test and not test(value):
+            raise ConfigError(f"config key '{prefix}{f.name}' must be {words}")
 
 
 def validate_config(cfg: SimConfig) -> None:
+    """Check every field, then the rules that span keys or choose among names."""
     _check_fields(cfg)
-    _require(cfg.rounds >= 1, "rounds", "must be >= 1")
-    _require(cfg.clients >= 2, "clients", "must be >= 2")
-    _require(0.0 < cfg.act <= 1.0, "act", "must be in (0, 1]")
-    _require(cfg.local_epochs >= 1, "local_epochs", "must be >= 1")
-    _require(cfg.batch_size >= 1, "batch_size", "must be >= 1")
-    _require(cfg.local_lr >= 0.0, "local_lr", "must be >= 0")
-    _require(cfg.weight_decay >= 0.0, "weight_decay", "must be >= 0")
-    _require(cfg.epsilon > 0.0, "epsilon", "must be > 0")
     _require(cfg.variant in VARIANTS, "variant", f"must be one of {', '.join(VARIANTS)}")
     _require(len(cfg.seeds) >= 1, "seeds", "must list at least one seed")
     _require(min(cfg.seeds) >= 0, "seeds", f"must be >= 0, got {cfg.seeds}")
     _require(len(set(cfg.seeds)) == len(cfg.seeds), "seeds", f"must not list a seed twice, got {cfg.seeds}")
-    _require(cfg.hidden_dim >= 1, "hidden_dim", "must be >= 1")
-    _require(cfg.workers >= 1, "workers", "must be >= 1")
     _require(cfg.failure_policy in ("halt", "skip"), "failure_policy", "must be 'halt' or 'skip'")
-    _require(cfg.secure_seed is None or cfg.secure_seed >= 0, "secure_seed", "must be >= 0")
     ds = cfg.dataset
-    _require(ds.num_classes >= 2, "dataset.num_classes", "must be >= 2")
-    _require(ds.samples_per_class >= 1, "dataset.samples_per_class", "must be >= 1")
-    _require(ds.feature_dim >= 2, "dataset.feature_dim", "must be >= 2")
-    _require(ds.class_std > 0, "dataset.class_std", "must be > 0")
-    _require(ds.radius > 0, "dataset.radius", "must be > 0")
-    _require(0.0 <= ds.test_fraction < 1.0, "dataset.test_fraction", "must be in [0, 1)")
     # the held-out count per class, as split_dataset computes it
     held_out = int(round(ds.test_fraction * ds.samples_per_class))
     _require(held_out >= 1, "dataset.test_fraction", "must hold out at least one sample per class")
     pool = ds.num_classes * (ds.samples_per_class - held_out)
     _require(cfg.clients <= pool, "clients", f"must be at most {pool}, so each client gets one of the {pool} training samples")
-    _require(0.0 <= ds.holdout_fraction < 1.0, "dataset.holdout_fraction", "must be in [0, 1)")
-    d = cfg.distill
-    for key in ("noise_dim", "pseudo_batch", "inner_iters", "gen_steps", "student_steps", "label_embed_dim", "gen_hidden_dim"):
-        _require(getattr(d, key) >= 1, f"distill.{key}", "must be >= 1")
-    for key in ("beta_cf", "beta_div"):
-        _require(getattr(d, key) >= 0, f"distill.{key}", "must be >= 0")
-    for key in ("gen_lr", "student_lr"):
-        _require(getattr(d, key) > 0, f"distill.{key}", "must be > 0")
 
 
 def _build(cls, payload: dict, prefix: str = ""):

@@ -2,15 +2,20 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import disue
 from disue import cli, orchestrator
@@ -24,10 +29,13 @@ from disue.config import (
     parse_config,
     validate_config,
 )
+from disue.data import make_synthetic_dataset, split_dataset
 from disue.distill import DistillConfig
 from disue.errors import ConfigError, InvalidInputError
 from disue.metrics import RoundMetrics, final_accuracy, strip_wall_ms, write_round_csv
 from disue.orchestrator import build_federated_data, run_experiment
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "rounds": 2,
@@ -158,6 +166,68 @@ def test_validation_names_the_offending_key():
         validate_config(SimConfig(seeds=[-1]))
     with pytest.raises(ConfigError, match="config key 'secure_seed' must be >= 0"):
         validate_config(SimConfig(secure_seed=-5))
+
+
+# a value just outside each numeric field's declared range, and the key it belongs to
+OUT_OF_RANGE = [
+    ("rounds", 0),
+    ("clients", 1),
+    ("act", 0.0),
+    ("act", 1.5),
+    ("local_epochs", 0),
+    ("batch_size", 0),
+    ("local_lr", -1e-3),
+    ("weight_decay", -1e-3),
+    ("epsilon", 0.0),
+    ("hidden_dim", 0),
+    ("workers", 0),
+    ("secure_seed", -1),
+    ("dataset.num_classes", 1),
+    ("dataset.samples_per_class", 0),
+    ("dataset.feature_dim", 1),
+    ("dataset.class_std", 0.0),
+    ("dataset.radius", 0.0),
+    ("dataset.test_fraction", -1e-3),
+    ("dataset.test_fraction", 1.0),
+    ("dataset.holdout_fraction", -1e-3),
+    ("dataset.holdout_fraction", 1.0),
+    ("distill.beta_cf", -1e-3),
+    ("distill.beta_div", -1e-3),
+    ("distill.noise_dim", 0),
+    ("distill.pseudo_batch", 0),
+    ("distill.inner_iters", 0),
+    ("distill.gen_steps", 0),
+    ("distill.student_steps", 0),
+    ("distill.gen_lr", 0.0),
+    ("distill.student_lr", 0.0),
+    ("distill.label_embed_dim", 0),
+    ("distill.gen_hidden_dim", 0),
+]
+BLOCKS = {"": SimConfig, "dataset.": DatasetConfig, "distill.": DistillConfig}
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_a_value_just_out_of_range_fails_naming_its_key(key, value):
+    block, _, name = key.rpartition(".")
+    cls = BLOCKS[f"{block}." if block else ""]
+    message = f"config key '{re.escape(key)}' must be"
+    with pytest.raises(ConfigError, match=message):
+        cls(**{name: value})  # a nested block is checked when built alone
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(cls(), **{name: value})
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({block: {name: value}} if block else {name: value})
+
+
+def test_every_numeric_field_declares_a_range_that_the_table_drives():
+    numeric = {
+        prefix + f.name: f
+        for prefix, cls in BLOCKS.items()
+        for f in dataclasses.fields(cls)
+        if f.type.removesuffix(" | None") in ("int", "float")
+    }
+    assert [key for key, f in numeric.items() if "range" not in f.metadata] == []
+    assert {key for key, _ in OUT_OF_RANGE} == set(numeric)
 
 
 # a value of the wrong JSON type, and the key its error must name
@@ -314,6 +384,65 @@ def test_every_training_sample_can_go_to_its_own_client():
         config_from_dict({"clients": 65, "dataset": dataset})
     data = build_federated_data(config_from_dict({"clients": 64, "dataset": dataset}), seed=0)
     assert [shard.train.n + shard.holdout.n for shard in data.clients] == [1] * 64
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_classes=st.integers(2, 5), samples_per_class=st.integers(1, 30), test_fraction=st.floats(0.0, 0.95))
+def test_the_config_bounds_clients_by_the_data_layers_training_pool(num_classes, samples_per_class, test_fraction):
+    dataset = {"num_classes": num_classes, "samples_per_class": samples_per_class, "test_fraction": test_fraction}
+    train_pool, test = split_dataset(make_synthetic_dataset(num_classes, samples_per_class, 2, seed=0), test_fraction, seed=0)
+    pool = train_pool.n
+    if test.n == 0:
+        with pytest.raises(ConfigError, match="config key 'dataset.test_fraction' must hold out"):
+            config_from_dict({"clients": 2, "dataset": dataset})
+    assume(test.n > 0 and pool >= 2)
+    data = build_federated_data(config_from_dict({"clients": pool, "dataset": dataset}), seed=0)
+    assert min(shard.train.n for shard in data.clients) >= 1
+    assert sum(shard.train.n + shard.holdout.n for shard in data.clients) == pool
+    with pytest.raises(ConfigError, match=f"config key 'clients' must be at most {pool},"):
+        config_from_dict({"clients": pool + 1, "dataset": dataset})
+
+
+def _readme_pairs(text: str, pattern: str) -> dict:
+    """The `key value` pairs a README passage lists, each value read as JSON; a key listed twice fails."""
+    pairs = re.findall(pattern, text)
+    assert len({key for key, _ in pairs}) == len(pairs), pairs
+    return {key: json.loads(value) for key, value in pairs}
+
+
+def test_the_readme_lists_every_default():
+    readme = (ROOT / "README.md").read_text()
+    defaults = json.loads(json.dumps(config_to_dict(SimConfig())))
+    top = readme.split("keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = _readme_pairs(top, r"(\w+) (\S+)")
+    for block in ("dataset", "distill"):
+        sentence = readme.split(f"`{block}` block:", 1)[1].split("\n\n", 1)[0]
+        listed[block] = _readme_pairs(sentence, r"`(\w+) ([^`]+)`")
+    for cli_only in ("emit_plot_data", "out_dir"):  # the README documents these under the CLI
+        del defaults[cli_only]
+    assert listed == defaults
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    for path in sorted(Path(disue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import stays inside the package
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"
+
+
+def test_pyproject_needs_numpy_alone_and_its_script_is_the_cli():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+    module, _, attr = project["scripts"]["disue"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 # ---------------------------------------------------------------------------
