@@ -14,22 +14,25 @@ is a constant during (a) and the teacher distributions are constants
 during (b). Teacher parameters are never updated; generator gradients
 reach the teachers only through the synthesized samples.
 
-Within one alternation the noise and labels are fixed, so the noise
-distances for the div term and the teachers' softmax on the frozen
-student-phase samples are computed once per alternation, not per step.
+Within one alternation the noise and labels are fixed, so they are
+checked once, and the noise distances for the div term, each sample's
+teacher shares and the teachers' softmax on the frozen student-phase
+samples are computed once per alternation, not per step.
 
 How the teachers are computed. iga_round stacks the K teachers once per
 round into [K, in, out] weights (nn.stack): one np.matmul per layer runs
 them all, and the cd and cf totals are sums over [K, Q] per-sample
-teacher shares. A generator step's objective is one tape node on the
-samples: one teacher forward feeds cd's softmax and cf's log-softmax,
-and one teacher backward takes both logit gradients as [2, K, Q,
-classes]. The node replays the numpy ops of the one-op-per-node chain it
-replaces, through the kernels of nn's own nodes, so every output byte is
-unchanged. That fixes the order of every sum over teachers: the K
-totals are added one at a time, and the samples' gradient gets cd_0 ..
-cd_{K-1}, then cf_0 .. cf_{K-1}, then div. Summing over the teacher axis
-at once, or the two gradients before the backward, would move bits.
+teacher shares. The generator and student steps run off the tape, each
+as one function on numpy arrays that ends in the model's own step. A
+generator step's one teacher forward feeds cd's softmax and cf's
+log-softmax, and one teacher backward takes both logit gradients as [2,
+K, Q, classes]. The steps replay the numpy ops of the one-op-per-node
+chain they replace, through the kernels of nn's own nodes and its trunk
+kernel, so every output byte is unchanged. That fixes the order of every
+sum over teachers: the K totals are added one at a time, and the
+samples' gradient gets cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}, then
+div. Summing over the teacher axis at once, or the two gradients before
+the backward, would move bits.
 """
 from __future__ import annotations
 
@@ -137,44 +140,82 @@ def _diversity(x: np.ndarray, zdist: np.ndarray):
 def loss_div(batch: PseudoBatch) -> Tensor:
     """Diversity loss exp(mean of -||x_i - x_j|| * ||z_i - z_j||); 1 when samples collapse.
 
-    One node on the samples; the generator step computes the same term inside its objective node.
+    One node on the samples; the generator step computes the same term off the tape.
     """
     value, div_bwd = _diversity(batch.samples.data, nn.distances(batch.noise))
     return nn._node(value, (batch.samples,), lambda g: nn._accumulate(batch.samples, div_bwd(g), owned=True))
 
 
-def _generator_objective(
-    stacked: Classifier, student: Classifier, batch: PseudoBatch, gwf: GwfWeights, cfg: DistillConfig, zdist: np.ndarray
-) -> tuple[Tensor, float, float, float]:
-    """The scalar the generator minimizes, as one tape node on the samples, plus the component values.
+def _gathered(parts) -> np.ndarray:
+    """The parts of one gradient added one at a time, as `nn._accumulate` gathers them."""
+    total = np.add(parts[0], 0.0)
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def _set_grads(module: nn.Module, grads) -> None:
+    """Store `nn.trunk_backward`'s gradients as a backward would: each plus 0.0."""
+    for layer, (g_w, g_b) in zip(module.layers, grads):
+        layer.w.grad, layer.b.grad = np.add(g_w, 0.0, out=g_w), np.add(g_b, 0.0)
+
+
+def _generator_step(generator, stacked, student, noise, labels, zdist, weights, cfg, trace, inner) -> None:
+    """One generator step off the tape: forward, objective, its gradient to every generator parameter, step, record.
 
     The generator ascends cd, except in the flipped composition, where it
     descends all three terms together. The scalar chain runs in Python
-    floats, which round as the 0-d arrays of the unfused chain do.
+    floats, which round as the 0-d arrays of the tape's chain do. The
+    student and the teachers are constants: only the generator steps.
     """
-    samples, labels, q = batch.samples, batch.labels, batch.size
-    weights = gwf.alpha[:, labels]
-    student_probs = nn.softmax(student.forward(samples.data)).data  # constant for the generator
-    logits = stacked.forward(samples)  # not on the tape: the node runs its backward once
-    rows = nn.SoftmaxRows(logits.data, "softmax")
+    q = labels.size
+    samples, gen_hs = generator.trunk(noise, labels)
+    student_probs = nn.SoftmaxRows(nn.trunk_forward(samples, student.layers)[0], "softmax").probs()
+    logits, teacher_hs = nn.trunk_forward(samples, stacked.layers)
+    rows = nn.SoftmaxRows(logits, "softmax")
     probs, log_probs = rows.probs(), rows.log_probs()
     kl, kl_bwd = nn.kl_terms(probs, student_probs, weights)
     ll, ll_bwd = nn.label_terms(log_probs, (..., np.arange(q), labels), weights)
-    div, div_bwd = _diversity(samples.data, zdist)
+    div, div_bwd = _diversity(samples, zdist)
     cd, cf = float(kl) * (1.0 / q), float(ll) * (-1.0 / q)
     signed_cd = cd if cfg.literal_minimax else cd * -1.0
-    objective = signed_cd + cf * cfg.beta_cf + div * cfg.beta_div
+    objective = float(signed_cd + cf * cfg.beta_cf + div * cfg.beta_div)
+    if not np.isfinite(objective):
+        raise DivergenceError("non-finite generator objective")
+    # the objective's gradient 1.0, passed on by each add node as g + 0.0
+    g_cd = 1.0 if cfg.literal_minimax else -1.0
+    g_probs = _gathered(kl_bwd(g_cd * (1.0 / q) + 0.0, True, False)[0])
+    g_logits = np.stack([nn.softmax_grad(probs, g_probs), ll_bwd((cfg.beta_cf + 0.0) * (-1.0 / q) + 0.0)])
+    _, g_in = nn.trunk_backward(np.add(g_logits, 0.0, out=g_logits), teacher_hs, logits, stacked.layers, params=False)
+    g_samples = _gathered(g_in.reshape(-1, *samples.shape))  # cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}
+    g_samples += div_bwd(cfg.beta_div + 0.0)  # then div
+    grads, g_x = nn.trunk_backward(g_samples, gen_hs, samples, generator.layers, tanh=True)
+    generator.embed.grad = np.zeros_like(generator.embed.data)
+    np.add.at(generator.embed.grad, labels, g_x[:, generator.noise_dim :])  # the embedding rows beside the noise
+    _set_grads(generator, grads)
+    generator.step(cfg.gen_lr)
+    trace.append(IgaRecord("gen", inner, cd, cf, float(div), objective))
 
-    def bwd(g):
-        g = float(g) + 0.0  # what each add node passes on
-        g_cd = g if cfg.literal_minimax else g * -1.0 + 0.0
-        (p_grad, p_rest), _ = kl_bwd(g_cd * (1.0 / q) + 0.0, True, False)
-        p_grad = np.add(p_grad, 0.0, out=p_grad) + p_rest  # as `_accumulate` gathers the probs' gradient
-        g_logits = np.stack([nn.softmax_grad(probs, p_grad), ll_bwd((g * cfg.beta_cf + 0.0) * (-1.0 / q) + 0.0)])
-        logits._bwd(np.add(g_logits, 0.0, out=g_logits))  # cd_0 .. cd_{K-1}, then cf_0 .. cf_{K-1}, into the samples
-        nn._accumulate(samples, div_bwd(g * cfg.beta_div + 0.0), owned=True)  # then div
 
-    return nn._node(objective, (samples,), bwd), cd, cf, float(div)
+def _student_step(student, samples, teacher_probs, weights, lr, trace, inner) -> None:
+    """One student step off the tape: loss_cd's value, its record, its gradient to the student, then the step.
+
+    At cd's exact minimum the true logit gradient is zero, so the step is
+    skipped instead of applying float residue; the record is kept.
+    """
+    logits, hs = nn.trunk_forward(samples, student.layers)
+    probs = nn.SoftmaxRows(logits, "softmax").probs()
+    kl, kl_bwd = nn.kl_terms(teacher_probs, probs, weights)
+    cd = float(kl) * (1.0 / samples.shape[0])
+    if not np.isfinite(cd):
+        raise DivergenceError("non-finite distillation loss")
+    trace.append(IgaRecord("student", inner, cd))
+    if cd == 0.0:
+        return
+    g_logits = nn.softmax_grad(probs, _gathered(kl_bwd(1.0 / samples.shape[0], False, True)[1]))
+    grads, _ = nn.trunk_backward(np.add(g_logits, 0.0, out=g_logits), hs, logits, student.layers, to_input=False)
+    _set_grads(student, grads)
+    student.step(lr)
 
 
 @nn.FLOAT_POLICY
@@ -194,35 +235,21 @@ def iga_round(
     both models are then left mid-update, and a caller that built them for
     this pass drops them.
     """
-    if not teachers:
-        raise InvalidInputError("iga_round needs at least one teacher")
+    if not teachers or gwf.alpha.shape[0] != len(teachers):
+        raise InvalidInputError(f"iga_round needs a teacher and a gwf row per teacher, got {len(teachers)} and {gwf.alpha.shape[0]}")
     stacked = nn.stack(teachers)
     trace: list[IgaRecord] = []
     try:
         for inner in range(cfg.inner_iters):
             labels, noise = _draw_labels_and_noise(gls, cfg.pseudo_batch, generator.noise_dim, rng)
-            zdist = nn.distances(noise)
+            generator.check(noise, labels)  # fixed for the alternation, so checked once
+            zdist, weights = nn.distances(noise), gwf.alpha[:, labels]
             for _ in range(cfg.gen_steps):
-                batch = PseudoBatch(noise, labels, generator.forward(noise, labels))
-                objective, cd_val, cf_val, div_val = _generator_objective(stacked, student, batch, gwf, cfg, zdist)
-                if not np.isfinite(objective.item()):
-                    raise DivergenceError("non-finite generator objective")
-                nn.backward(objective)
-                generator.step(cfg.gen_lr)
-                trace.append(IgaRecord("gen", inner, cd_val, cf_val, div_val, objective.item()))
-            fixed = PseudoBatch(noise, labels, generator.forward(noise, labels))
-            fixed_probs = nn.softmax(stacked.forward(fixed.samples.data)).data
+                _generator_step(generator, stacked, student, noise, labels, zdist, weights, cfg, trace, inner)
+            fixed = generator.trunk(noise, labels)[0]
+            fixed_probs = nn.SoftmaxRows(nn.trunk_forward(fixed, stacked.layers)[0], "softmax").probs()
             for _ in range(cfg.student_steps):
-                cd = loss_cd(fixed_probs, student, fixed, gwf)
-                if not np.isfinite(cd.item()):
-                    raise DivergenceError("non-finite distillation loss")
-                trace.append(IgaRecord("student", inner, cd.item()))
-                if cd.item() == 0.0:
-                    # KL at its exact minimum: the true logit gradient is zero,
-                    # so skip the step instead of applying float residue
-                    continue
-                nn.backward(cd)
-                student.step(cfg.student_lr)
+                _student_step(student, fixed, fixed_probs, weights, cfg.student_lr, trace, inner)
     except DivergenceError:
         return IgaResult(trace, diverged=True)
     return IgaResult(trace)

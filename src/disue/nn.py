@@ -7,9 +7,10 @@ reproduce identical parameters bit for bit.
 
 The hot chains are single fused nodes: a network trunk (`mlp`), the
 weighted KL of K teachers and the label log-likelihood (`weighted_kl`,
-`cross_entropy`). Their array kernels (`SoftmaxRows`, `kl_terms`,
-`label_terms`, `distances`, `distances_grad`) serve distill's nodes too:
-the generator objective, the cf loss and the diversity term. Each
+`cross_entropy`). Their array kernels (`trunk_forward`, `trunk_backward`,
+`SoftmaxRows`, `kl_terms`, `label_terms`, `distances`, `distances_grad`)
+serve distill too: its cf and diversity nodes, and its generator and
+student steps, which run on the kernels alone, off the tape. Each
 backward replays the numpy ops of the one-op-per-node chain it replaces,
 per teacher and in its order, so values and gradients match it bit for
 bit; tests/helpers.py keeps the chain as the oracle. A fresh gradient
@@ -177,13 +178,16 @@ def concat(a, b) -> Tensor:
     return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
 
+def _check_rows(index: np.ndarray, n: int) -> None:
+    if index.size and (index.min() < 0 or index.max() >= n):
+        raise InvalidInputError(f"embedding index out of range [0, {n})")
+
+
 def embedding_rows(table, index) -> Tensor:
     """Select rows of a 2-d table by integer index; gradients scatter-add back."""
     table = as_tensor(table)
     index = np.asarray(index, dtype=np.int64)
-    n = table.data.shape[0]
-    if index.size and (index.min() < 0 or index.max() >= n):
-        raise InvalidInputError(f"embedding index out of range [0, {n})")
+    _check_rows(index, table.data.shape[0])
 
     def bwd(g):
         if table.needs_grad():
@@ -244,23 +248,13 @@ class Segments:
         return out
 
 
-def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | None = None) -> Tensor:
-    """A dense trunk as one node: relu(h @ w + b) per hidden layer, then h @ w + b.
+def trunk_forward(x: np.ndarray, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | None = None) -> tuple:
+    """relu(h @ w + b) per hidden layer, then h @ w + b, then tanh with `tanh`: the output and each layer's input.
 
-    With `tanh` the output passes through tanh. Layers with [K, in, out]
-    weights and [K, 1, out] biases (see `stack`) map a [batch, in] input
-    to [K, batch, out] with one np.matmul per layer. With `segments`, x
-    holds the [R, in] rows of the C clients of a [C, in, out] stack, and
-    each client's rows go through its own slice: the matmuls run once per
-    run of equal width, everything else once over all rows. The backward
-    replays the numpy ops of the unfused matmul/add/relu/tanh chain in its
-    order, so values and gradients match it bit for bit, and it feeds only
-    what that chain would have fed: a frozen weight or a constant input
-    gets nothing. For a stack, the K gradients of a [batch, in] input are
-    added in order k = 0..K-1, and those of a [2, K, batch, out] gradient
-    in C order.
+    [K, in, out] weights and [K, 1, out] biases (see `stack`) map a [batch, in] input to [K, batch, out], one
+    np.matmul per layer. With `segments`, x holds the [R, in] rows of the C clients of a [C, in, out] stack, each
+    client's rows through its own slice: the matmuls run once per run of equal width, all else once over all rows.
     """
-    x = as_tensor(x)
 
     def affine(h, layer):  # a fresh array, which the ops after it may overwrite
         if segments is None:
@@ -271,45 +265,65 @@ def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | N
             out += layer.b.data[segments.owner, 0]  # each row's owner's bias
         return out
 
-    hs = [x.data]  # each layer's input
+    hs = [x]
     for layer in layers[:-1]:
         # np.maximum, not np.where: a nan input must poison the output, not
         # silently turn into 0 and hide a diverged model
         h = affine(hs[-1], layer)
         hs.append(np.maximum(h, 0.0, out=h))
     out = affine(hs[-1], layers[-1])
+    return (np.tanh(out) if tanh else out), hs
+
+
+def trunk_backward(
+    g: np.ndarray, hs: list, out: np.ndarray, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | None = None,
+    params: bool = True, to_input: bool = True,
+) -> tuple:
+    """A trunk's gradients from g on its output: [(w, b)] per layer ([] without `params`), and the input's or None.
+
+    The numpy ops are those of the unfused matmul/add/relu/tanh chain, in its order, so the bits are too; the
+    caller adds 0.0 to each, as `_accumulate` does. A stack's input gradient keeps g's leading axes.
+    """
     if tanh:
-        out = np.tanh(out)
+        g = np.add(g * (1.0 - out * out), 0.0)
+    grads, g_in = [], None
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i].w.data, layers[i].b.data
+        if params:
+            g_w = hs[i].swapaxes(-1, -2) @ g if segments is None else segments.outer(hs[i], g)
+            grads.append((g_w, _unbroadcast(g, b.shape) if segments is None else segments.sum(g)[:, None]))
+        if not (i or to_input):
+            break
+        w_t = w.swapaxes(-1, -2)
+        g_in = g @ w_t if segments is None else segments.matmul(g, w_t)
+        if i:  # in place: a broadcast mask product into fresh arrays measured 4x slower
+            g_in *= hs[i] > 0
+            g = np.add(g_in, 0.0, out=g_in)
+    return grads[::-1], (g_in if to_input else None)
+
+
+def mlp(x, layers: Sequence["Dense"], tanh: bool = False, segments: Segments | None = None) -> Tensor:
+    """A dense trunk as one node on `trunk_forward` and `trunk_backward`.
+
+    The backward feeds only what the unfused chain would have fed: a frozen weight or a constant input gets
+    nothing. For a stack, the K gradients of a [batch, in] input are added in order k = 0..K-1, and those of a
+    [2, K, batch, out] gradient in C order.
+    """
+    x = as_tensor(x)
+    out, hs = trunk_forward(x.data, layers, tanh, segments)
+    params = tuple(t for layer in layers for t in (layer.w, layer.b))
 
     def bwd(g):
-        # a layer's input takes a gradient when x or an earlier parameter does
-        feeds, live = [], x.needs_grad()
-        for layer in layers:
-            feeds.append(live)
-            live = live or layer.w.requires_grad or layer.b.requires_grad
-        if tanh:
-            g = np.add(g * (1.0 - out * out), 0.0)
-        for i in range(len(layers) - 1, -1, -1):
-            w, b = layers[i].w, layers[i].b
-            if b.requires_grad:
-                if segments is None:
-                    _accumulate(b, _unbroadcast(g, b.data.shape))
-                else:
-                    _accumulate(b, segments.sum(g)[:, None], owned=True)
-            if w.requires_grad:
-                _accumulate(w, hs[i].swapaxes(-1, -2) @ g if segments is None else segments.outer(hs[i], g), owned=True)
-            if not feeds[i]:
-                return
-            w_t = w.data.swapaxes(-1, -2)
-            g_in = g @ w_t if segments is None else segments.matmul(g, w_t)
-            if i:  # in place: a broadcast mask product into fresh arrays measured 4x slower
-                g_in *= hs[i] > 0
-                g = np.add(g_in, 0.0, out=g_in)
-            else:  # each [batch, in] slice in order, over every leading axis; without a stack the one slice
-                for part in g_in.reshape(-1, *x.data.shape):
-                    _accumulate(x, part)
+        grads, g_in = trunk_backward(g, hs, out, layers, tanh, segments, any(p.requires_grad for p in params), x.needs_grad())
+        for layer, (g_w, g_b) in zip(layers, grads):
+            if layer.b.requires_grad:
+                _accumulate(layer.b, g_b, owned=segments is not None)
+            if layer.w.requires_grad:
+                _accumulate(layer.w, g_w, owned=True)
+        if g_in is not None:  # each [batch, in] slice in order, over every leading axis; without a stack the one slice
+            for part in g_in.reshape(-1, *x.data.shape):
+                _accumulate(x, part)
 
-    params = tuple(t for layer in layers for t in (layer.w, layer.b))
     return _node(out, (x, *params), bwd)
 
 
@@ -655,14 +669,22 @@ class Generator(Module):
     def parameters(self) -> list[Tensor]:
         return [self.embed, *super().parameters()]
 
-    def forward(self, noise, labels) -> Tensor:
-        z = as_tensor(noise)
-        if z.data.ndim != 2 or z.data.shape[1] != self.noise_dim:
-            raise InvalidInputError(f"expected [batch, {self.noise_dim}] noise, got shape {z.data.shape}")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (z.data.shape[0],):
+    def check(self, noise: np.ndarray, labels: np.ndarray) -> None:
+        """Refuse noise that is not [batch, noise_dim], or labels that are not one embedding row per noise row."""
+        if noise.ndim != 2 or noise.shape[1] != self.noise_dim:
+            raise InvalidInputError(f"expected [batch, {self.noise_dim}] noise, got shape {noise.shape}")
+        if labels.shape != (noise.shape[0],):
             raise InvalidInputError("one label per noise row required")
+        _check_rows(labels, self.embed.data.shape[0])
+
+    def forward(self, noise, labels) -> Tensor:
+        z, labels = as_tensor(noise), np.asarray(labels, dtype=np.int64)
+        self.check(z.data, labels)
         return mlp(concat(z, embedding_rows(self.embed, labels)), self.layers, tanh=True)
+
+    def trunk(self, noise: np.ndarray, labels: np.ndarray) -> tuple:
+        """`forward` off the tape, for inputs that passed `check`: the samples and each layer's input."""
+        return trunk_forward(np.concatenate([noise, self.embed.data[labels]], axis=1), self.layers, tanh=True)
 
 
 def accuracy(model: Classifier, features: np.ndarray, labels: np.ndarray) -> float:

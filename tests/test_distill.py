@@ -177,18 +177,59 @@ def test_a_nan_teacher_weight_diverges_the_generator_phase():
 
 
 def test_a_nan_teacher_share_stops_the_generator_phase_before_its_backward(monkeypatch):
-    """No softmax sees the nan: only the objective's own finiteness check catches it."""
+    """No softmax sees the nan: only the objective's own finiteness check catches it, before any trunk backward."""
     teacher, student, gen = _small_models()
     gwf = GwfWeights(alpha=np.array([[1.0, np.nan, 1.0, 1.0]]))
     cfg = DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_hidden_dim=16)
-    backwards, real_backward = [], nn.backward
-    monkeypatch.setattr(nn, "backward", lambda loss: backwards.append(loss) or real_backward(loss))
+    backwards, real_backward = [], nn.trunk_backward
+    monkeypatch.setattr(nn, "trunk_backward", lambda *args, **kwargs: backwards.append(args) or real_backward(*args, **kwargs))
     gen_before, student_before = gen.param_vector(), student.param_vector()
     res = iga_round([teacher], student, gen, _uniform_gls(), gwf, cfg, np.random.default_rng(0))
     assert res.diverged
     assert res.trace == [] and backwards == []
+    assert all(p.grad is None for p in gen.parameters())  # no gradient was taken, so none was refused
     assert np.array_equal(gen.param_vector(), gen_before)
     assert np.array_equal(student.param_vector(), student_before)
+
+
+@pytest.mark.parametrize("phase", ["student", "gen"])
+def test_a_refused_step_keeps_the_student_record_and_leaves_no_generator_record(monkeypatch, phase):
+    """A student record is appended before its step, a generator record after it: mean_losses reads them."""
+    teacher, student, gen = _small_models()
+    refused = student if phase == "student" else gen
+    cfg = DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_steps=3, student_steps=2, gen_hidden_dim=16)
+    real_step = nn.Module.step
+
+    def poisoned_step(self, lr, weight_decay=0.0):
+        if self is refused:
+            self.parameters()[-1].grad[0] = np.nan
+        real_step(self, lr, weight_decay)
+
+    monkeypatch.setattr(nn.Module, "step", poisoned_step)
+    before = refused.param_vector()
+    res = iga_round([teacher], student, gen, _uniform_gls(), _one_teacher_gwf(), cfg, np.random.default_rng(5))
+    assert res.diverged
+    want = [("gen", 0)] * 3 + [("student", 0)] if phase == "student" else []
+    assert [(rec.phase, rec.inner_iter) for rec in res.trace] == want
+    assert all(np.isfinite(rec.loss_cd) for rec in res.trace)
+    assert np.array_equal(refused.param_vector(), before)  # the refused step moved nothing
+
+
+def test_fusion_records_no_tape_node(monkeypatch):
+    """The generator, fixed-sample and student phases all run off the tape."""
+    teachers = [_small_models(seed)[0] for seed in range(3)]
+    _, student, gen = _small_models()
+    gwf = GwfWeights(alpha=np.random.default_rng(1).dirichlet(np.ones(3), size=4).T)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fusion touched the tape")
+
+    monkeypatch.setattr(nn, "_node", refuse)
+    monkeypatch.setattr(nn, "backward", refuse)
+    cfg = DistillConfig(noise_dim=8, pseudo_batch=10, inner_iters=2, gen_steps=2, student_steps=2, gen_hidden_dim=16)
+    res = iga_round(teachers, student, gen, _uniform_gls(), gwf, cfg, np.random.default_rng(3))
+    assert not res.diverged
+    assert [rec.phase for rec in res.trace] == (["gen"] * 2 + ["student"] * 2) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +323,9 @@ def test_config_validation():
         validate_config(SimConfig(distill=DistillConfig(student_lr=0.0)))
     with pytest.raises(InvalidInputError):
         iga_round([], Classifier(2, 4), Generator(8, 4, 2), _uniform_gls(), _one_teacher_gwf(), DistillConfig(), np.random.default_rng(0))
+    two_rows = GwfWeights(alpha=np.ones((2, 4)) / 2)
+    with pytest.raises(InvalidInputError, match="a gwf row per teacher, got 1 and 2"):
+        iga_round([Classifier(2, 4)], Classifier(2, 4), Generator(8, 4, 2), _uniform_gls(), two_rows, DistillConfig(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Fused tape nodes against the unfused chains they replace, bit for bit.
+"""Fused tape nodes and tape-free fusion steps against the unfused chains they replace, bit for bit.
 
 Each test builds one computation twice, once from the engine's fused nodes
-and once from the one-op-per-node oracles in helpers.py, runs backward on
-the same scalar and compares the bytes of every value and gradient.
+or fusion steps and once from the one-op-per-node oracles in helpers.py,
+runs backward on the same scalar and compares the bytes of every value and
+gradient.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import pytest
 from disue import nn
 from disue.aggregation import GwfWeights
 from disue.config import DistillConfig
-from disue.distill import PseudoBatch, _generator_objective, loss_cf
-from disue.errors import DivergenceError
+from disue.distill import IgaRecord, PseudoBatch, _generator_step, _student_step, loss_cd, loss_cf
+from disue.errors import DivergenceError, InvalidStateError
 from helpers import (
     add,
     bits,
@@ -278,15 +279,30 @@ def _objective_setup(k: int, q: int, seed: int, equal_pair: bool = False):
     return stacked, student, gen, noise, labels, GwfWeights(alpha=alpha)
 
 
-def _run_objective(objective_fn, setup, cfg, zdist):
+def _spy_step(model: nn.Module) -> list:
+    """Replace model.step with one that records the bits of every gradient it was handed, and moves nothing."""
+    grads = []
+    model.step = lambda lr: grads.extend(bits(p.grad) for p in model.parameters())
+    return grads
+
+
+def _fused_generator_step(setup, cfg) -> tuple[list, list]:
+    """The step's objective and component values, and the generator gradients it stepped on."""
+    stacked, student, gen, noise, labels, gwf = setup
+    grads, trace = _spy_step(gen), []
+    _generator_step(gen, stacked, student, noise, labels, nn.distances(noise), gwf.alpha[:, labels], cfg, trace, 0)
+    (rec,) = trace
+    return [bits(np.float64(v)) for v in (rec.objective, rec.loss_cd, rec.loss_cf, rec.loss_div)], grads
+
+
+def _chain_generator_step(setup, cfg) -> tuple[list, list]:
     stacked, student, gen, noise, labels, gwf = setup
     twin = nn.Generator(7, 4, 2, embed_dim=3, hidden=(8, 6))
     twin.load_param_vector(gen.param_vector())
     batch = PseudoBatch(noise, labels, twin.forward(noise, labels))
-    objective, *parts = objective_fn(stacked, student, batch, gwf, cfg, zdist)
+    objective, *parts = unfused_generator_objective(stacked, student, batch, gwf, cfg, broadcast_pairwise_distances(noise).data)
     nn.backward(objective)
-    values = [bits(objective.data)] + [bits(np.float64(v)) for v in parts]
-    return values, bits(batch.samples.grad), _grads(twin)
+    return [bits(objective.data)] + [bits(np.float64(v)) for v in parts], _grads(twin)
 
 
 # (teachers, batch size, literal_minimax, beta_cf, beta_div, two equal samples)
@@ -299,35 +315,75 @@ OBJECTIVE_CASES = (
 
 @pytest.mark.parametrize("k, q, literal, beta_cf, beta_div, equal_pair", OBJECTIVE_CASES)
 def test_generator_objective_matches_the_chain_it_replaces(k, q, literal, beta_cf, beta_div, equal_pair):
-    """One node against the chain with a branched teacher forward: values, the samples' gradient, generator gradients."""
+    """The generator step against the chain with a branched teacher forward: values and every generator gradient, the embedding's too."""
     setup = _objective_setup(k, q, seed=60 + k + q, equal_pair=equal_pair)
     cfg = DistillConfig(beta_cf=beta_cf, beta_div=beta_div, literal_minimax=literal)
-    noise = setup[3]
-    fused = _run_objective(_generator_objective, setup, cfg, nn.distances(noise))
-    plain = _run_objective(unfused_generator_objective, setup, cfg, broadcast_pairwise_distances(noise).data)
-    assert fused == plain
+    plain = _chain_generator_step(setup, cfg)
+    assert _fused_generator_step(setup, cfg) == plain
 
 
-def test_generator_objective_is_one_node_on_the_samples():
+def _refuse(*args, **kwargs):
+    raise AssertionError("a fusion step touched the tape")
+
+
+def test_generator_step_records_no_tape_node(monkeypatch):
     stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=70)
-    batch = PseudoBatch(noise, labels, gen.forward(noise, labels))
-    objective, *_ = _generator_objective(stacked, student, batch, gwf, DistillConfig(), nn.distances(noise))
-    assert objective._parents == (batch.samples,)
+    before, trace = gen.param_vector(), []
+    monkeypatch.setattr(nn, "_node", _refuse)
+    monkeypatch.setattr(nn, "backward", _refuse)
+    _generator_step(gen, stacked, student, noise, labels, nn.distances(noise), gwf.alpha[:, labels], DistillConfig(), trace, 0)
+    assert [rec.phase for rec in trace] == ["gen"]
+    assert not np.array_equal(gen.param_vector(), before)
 
 
 def test_generator_objective_backward_leaves_student_and_teachers_without_gradient():
-    stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=72)
-    batch = PseudoBatch(noise, labels, gen.forward(noise, labels))
-    objective, *_ = _generator_objective(stacked, student, batch, gwf, DistillConfig(), nn.distances(noise))
-    nn.backward(objective)
+    setup = stacked, student, gen, *_ = _objective_setup(3, 9, seed=72)
+    frozen = [m.param_vector() for m in (stacked, student)]
+    _, grads = _fused_generator_step(setup, DistillConfig())
     assert all(p.grad is None for p in (*student.parameters(), *stacked.parameters()))
-    assert all(p.grad is not None for p in gen.parameters())
+    assert [np.array_equal(m.param_vector(), v) for m, v in zip((stacked, student), frozen)] == [True, True]
+    assert len(grads) == len(gen.parameters())  # the generator stepped on a gradient for every parameter
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_teacher_logit_still_diverges(bad):
     stacked, student, gen, noise, labels, gwf = _objective_setup(3, 9, seed=71)
     stacked.layers[-1].b.data[1, 0, 2] = bad  # teacher 1's logits of class 2
-    batch = PseudoBatch(noise, labels, gen.forward(noise, labels))
-    with pytest.raises(DivergenceError):
-        _generator_objective(stacked, student, batch, gwf, DistillConfig(), nn.distances(noise))
+    before, trace = gen.param_vector(), []
+    with pytest.raises(DivergenceError, match="non-finite logits in softmax"):
+        _generator_step(gen, stacked, student, noise, labels, nn.distances(noise), gwf.alpha[:, labels], DistillConfig(), trace, 0)
+    assert trace == [] and np.array_equal(gen.param_vector(), before)
+    assert all(p.grad is None for p in gen.parameters())
+
+
+def _student_setup(k: int, seed: int):
+    """The student phase's inputs: a frozen generator's samples, the teachers' softmax on them, and the GWF weights."""
+    stacked, student, gen, noise, labels, gwf = _objective_setup(k, 9, seed=seed)
+    samples = gen.forward(noise, labels).data
+    return student, samples, nn.softmax(stacked.forward(samples)).data, labels, gwf
+
+
+@pytest.mark.parametrize("k", TEACHER_COUNTS)
+def test_student_step_matches_loss_cd_and_its_backward(k):
+    student, samples, teacher_probs, labels, gwf = _student_setup(k, seed=80 + k)
+    twin = _twin(student)
+    chain = loss_cd(teacher_probs, twin, PseudoBatch(np.zeros((9, 1)), labels, nn.Tensor(samples)), gwf)
+    nn.backward(chain)
+    grads, trace = _spy_step(student), []
+    _student_step(student, samples, teacher_probs, gwf.alpha[:, labels], 0.1, trace, 3)
+    assert trace == [IgaRecord("student", 3, chain.item())]
+    assert bits(np.float64(trace[0].loss_cd)) == bits(chain.data)
+    assert grads == _grads(twin)
+
+
+def test_student_step_at_the_exact_zero_fixed_point_keeps_its_record_and_does_not_step():
+    """A student equal to its one teacher has cd exactly 0: the record is kept, no gradient is taken and nothing moves."""
+    student, samples, _, labels, gwf = _student_setup(1, seed=90)
+    teacher = nn.stack([student])
+    before = student.param_vector()
+    trace = []
+    _student_step(student, samples, nn.softmax(teacher.forward(samples)).data, gwf.alpha[:, labels], 0.1, trace, 0)
+    assert trace == [IgaRecord("student", 0, 0.0)]
+    assert np.array_equal(student.param_vector(), before)
+    with pytest.raises(InvalidStateError):  # no gradient was stored
+        student.step(0.1)

@@ -16,12 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disue
-from disue import nn
 from disue.aggregation import compute_gls
 from disue.config import VARIANT_SPECS, VARIANTS, DatasetConfig, SimConfig
 from disue.data import Dataset
 from disue.distill import DistillConfig
-from disue.errors import ConfigError, InvalidInputError
+from disue.errors import ConfigError, DivergenceError, InvalidInputError
 from disue.metrics import CSV_HEADER, strip_wall_ms
 from disue.orchestrator import (
     FederatedData,
@@ -521,8 +520,11 @@ def test_diverged_fusion_commits_the_entry_generator_and_the_plain_average(monke
         results.append(disue.distill.iga_round(*args))
         return results[-1]
 
+    def diverging_student_step(*args):
+        raise DivergenceError("non-finite distillation loss")
+
     monkeypatch.setattr("disue.orchestrator.iga_round", recording_iga_round)
-    monkeypatch.setattr("disue.distill.loss_cd", lambda *args: nn.Tensor(np.nan))
+    monkeypatch.setattr("disue.distill._student_step", diverging_student_step)
     for r in range(cfg.rounds):
         sim.run_round()
         plain.run_round()
